@@ -10,7 +10,7 @@ import (
 // clusteredOpts is the shared fixture for the clustered root tests: 12
 // clients in 3 LANs with LAN-correlated labels, so the ground-truth latent
 // grouping IS the LAN structure.
-func clusteredOpts(workers int, buffered bool) ClusteredOptions {
+func clusteredOpts(workers int) ClusteredOptions {
 	return ClusteredOptions{
 		Clusters: 3,
 		Rounds:   3,
@@ -20,17 +20,17 @@ func clusteredOpts(workers int, buffered bool) ClusteredOptions {
 			Model:     ModelMLP,
 			Clients:   12, LANs: 3,
 			PerClass: 24, Epochs: 1000,
-			Workers: workers, BufferedAgg: buffered,
-			Seed: 3,
+			Workers: workers,
+			Seed:    3,
 		},
 	}
 }
 
 // clusteredDigest runs a clustered simulation to completion and returns a
 // digest over every cluster model's parameters plus the final assignment.
-func clusteredDigest(t *testing.T, workers int, buffered bool) ([32]byte, float64) {
+func clusteredDigest(t *testing.T, workers int) ([32]byte, float64) {
 	t.Helper()
-	c, err := NewClustered(clusteredOpts(workers, buffered))
+	c, err := NewClustered(clusteredOpts(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,27 +54,16 @@ func clusteredDigest(t *testing.T, workers int, buffered bool) ([32]byte, float6
 }
 
 // TestClusteredWorkerInvariance: a clustered run must be bit-identical
-// across worker counts AND across the buffered/streaming aggregation
-// paths — the determinism contract (DESIGN.md §5) extended to the cluster
-// tier.
+// across worker counts — the determinism contract (DESIGN.md §5) extended
+// to the cluster tier.
 func TestClusteredWorkerInvariance(t *testing.T) {
-	ref, refAcc := clusteredDigest(t, 1, false)
-	for _, tc := range []struct {
-		name     string
-		workers  int
-		buffered bool
-	}{
-		{"workers8-streaming", 8, false},
-		{"workers1-buffered", 1, true},
-		{"workers8-buffered", 8, true},
-	} {
-		got, acc := clusteredDigest(t, tc.workers, tc.buffered)
-		if got != ref {
-			t.Errorf("%s: model/assignment bits diverge from workers1-streaming", tc.name)
-		}
-		if acc != refAcc {
-			t.Errorf("%s: routed accuracy %v diverges from %v", tc.name, acc, refAcc)
-		}
+	ref, refAcc := clusteredDigest(t, 1)
+	got, acc := clusteredDigest(t, 8)
+	if got != ref {
+		t.Errorf("workers8: model/assignment bits diverge from workers1")
+	}
+	if acc != refAcc {
+		t.Errorf("workers8: routed accuracy %v diverges from %v", acc, refAcc)
 	}
 }
 
@@ -84,7 +73,7 @@ func TestClusteredWorkerInvariance(t *testing.T) {
 // beat a single global model trained on the same partition for the same
 // number of aggregation rounds.
 func TestClusteredRecovery(t *testing.T) {
-	o := clusteredOpts(0, false)
+	o := clusteredOpts(0)
 	c, err := NewClustered(o)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +110,7 @@ func TestClusteredRecovery(t *testing.T) {
 // TestClusteredSaveRestore: a restored clustered run carries the saved
 // assignment and per-cluster models forward bit-identically.
 func TestClusteredSaveRestore(t *testing.T) {
-	o := clusteredOpts(1, false)
+	o := clusteredOpts(1)
 	a, err := NewClustered(o)
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,6 @@ func main() {
 		cohort    = flag.Int("cohort", 0, "per-round participant cohort (0 = every client trains every round; >0 samples that many and keeps only their models hydrated — O(cohort) memory)")
 		minCohort = flag.Int("min-cohort", 0, "cohort quorum under fault churn (default 1)")
 		fanout    = flag.Int("aggregators", 0, "simulated edge-aggregator fan-out: uploads stream client→gateway→cloud as partial sums (0/1 = flat; bit-identical model either way)")
-		buffered  = flag.Bool("buffered-agg", false, "use the legacy buffered aggregation (materializes every upload at once; baseline for -memstats)")
 		rshards   = flag.Int("replica-shards", 0, "physical data shards for -partition replicate (default 64)")
 		memstats  = flag.Bool("memstats", false, "print a parseable post-run memory line (heap after GC, OS footprint, hydrated-model high-water mark)")
 		workers   = flag.Int("workers", 0, "parallel workers for client training and tensor kernels (0 = NumCPU, 1 = serial; results are identical for any value, so -resume checkpoints are worker-independent)")
@@ -86,10 +85,9 @@ func main() {
 		features       = flag.Int("features", 64, "with -analytic: random-feature width of the frozen extractor")
 		ridge          = flag.Float64("ridge", 0, "with -analytic: ridge regularizer lambda (default 1e-3)")
 
-		jobsSpec     = flag.String("jobs", "", "multi-tenant mode: run N jobs over one shared client fleet; spec is name=a,demand=4,rounds=10[,weight=,scheme=,dataset=,model=,migrator=,agg=,tau=,lr=,batch=,perclass=,noise=,seed=];name=b,... — unset per-job keys inherit the top-level flags")
-		maxHydrated  = flag.Int("max-hydrated", 0, "with -jobs: admission budget on the summed demand of running jobs (0 = unlimited)")
-		hungarianMax = flag.Int("hungarian-max", 0, "with -jobs: max active clients solved with the exact Hungarian allocator; larger rounds use the greedy fallback (default 256)")
-		maxRounds    = flag.Int("max-rounds", 0, "with -jobs: hard bound on fleet rounds (0 = run until every job is done)")
+		jobsSpec    = flag.String("jobs", "", "multi-tenant mode: run N jobs over one shared client fleet; spec is name=a,demand=4,rounds=10[,weight=,scheme=,dataset=,model=,migrator=,agg=,tau=,lr=,batch=,perclass=,noise=,seed=];name=b,... — unset per-job keys inherit the top-level flags")
+		maxHydrated = flag.Int("max-hydrated", 0, "with -jobs: admission budget on the summed demand of running jobs (0 = unlimited)")
+		maxRounds   = flag.Int("max-rounds", 0, "with -jobs: hard bound on fleet rounds (0 = run until every job is done)")
 	)
 	flag.Parse()
 
@@ -151,7 +149,6 @@ func main() {
 		CohortSize:      *cohort,
 		MinCohort:       *minCohort,
 		Aggregators:     *fanout,
-		BufferedAgg:     *buffered,
 		ReplicaShards:   *rshards,
 		Workers:         *workers,
 		Seed:            *seed,
@@ -197,8 +194,7 @@ func main() {
 			os.Exit(2)
 		}
 		fo := fedmigr.FleetOptions{
-			Clients: *clients, LANs: *lans,
-			MaxHydrated: *maxHydrated, HungarianMax: *hungarianMax,
+			Clients: *clients, LANs: *lans, MaxHydrated: *maxHydrated,
 			Workers: *workers, Faults: plan, Telemetry: tel, Seed: *seed,
 			Jobs: jobs,
 		}

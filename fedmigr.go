@@ -142,10 +142,6 @@ type Options struct {
 	// uploads stream client → gateway → cloud as partial sums. Purely a
 	// traffic/time accounting change — the global model is bit-identical.
 	Aggregators int
-	// BufferedAgg restores the legacy buffered aggregation path (all
-	// uploads materialized at once) — the baseline the streaming
-	// accumulator is parity-tested and benchmarked against.
-	BufferedAgg bool
 	// RoundOffset aligns the cohort sampling stream after a checkpoint
 	// resume: set it to the number of aggregation rounds already consumed.
 	RoundOffset int
@@ -387,7 +383,6 @@ func coreConfig(o Options, mech *privacy.Mechanism) core.Config {
 		CohortSize:      o.CohortSize,
 		MinCohort:       o.MinCohort,
 		Aggregators:     o.Aggregators,
-		BufferedAgg:     o.BufferedAgg,
 		RoundOffset:     o.RoundOffset,
 		Seed:            o.Seed,
 	}

@@ -41,16 +41,15 @@ func runDigest(t *testing.T, o Options) [32]byte {
 	return sha256.Sum256(b)
 }
 
-// TestStreamingAggregationParity is the tentpole's end-to-end proof: the
-// streaming accumulator produces bit-identical global parameters to the
-// buffered baseline for every worker count and edge-aggregator fan-out.
-// The reduction tree's shape is fixed by the slot set alone, so WHERE the
-// partial sums are computed (flat, or grouped onto 1/4/16 simulated
-// aggregators) and HOW leaves are materialized (all at once, or streamed)
-// must never leak into the float64 result.
+// TestStreamingAggregationParity is the end-to-end proof that the
+// streaming accumulator produces bit-identical global parameters for every
+// worker count and edge-aggregator fan-out. The reduction tree's shape is
+// fixed by the slot set alone, so WHERE the partial sums are computed
+// (flat, or grouped onto 1/4/16 simulated aggregators) must never leak
+// into the float64 result. The flat fold itself is pinned to the buffered
+// tree by internal/core's TestStreamingParamSumMatchesBuffered.
 func TestStreamingAggregationParity(t *testing.T) {
 	base := streamOpts()
-	base.BufferedAgg = true
 	base.Workers = 1
 	want := runDigest(t, base)
 
@@ -60,7 +59,7 @@ func TestStreamingAggregationParity(t *testing.T) {
 			o.Workers = workers
 			o.Aggregators = fanout
 			if got := runDigest(t, o); got != want {
-				t.Fatalf("workers=%d aggregators=%d: streaming model diverges from buffered baseline", workers, fanout)
+				t.Fatalf("workers=%d aggregators=%d: model diverges from the workers=1 flat fold", workers, fanout)
 			}
 		}
 	}
@@ -69,7 +68,7 @@ func TestStreamingAggregationParity(t *testing.T) {
 // TestStreamingCohortParity extends the parity claim to cohort mode:
 // sampling 8 of 16 clients per round with lazy hydration must pick the
 // same cohorts (seeded, round-derived) and fold their uploads to the same
-// bits whether the reduction is buffered or streamed through a fan-out.
+// bits whether the reduction is flat or streamed through a fan-out.
 func TestStreamingCohortParity(t *testing.T) {
 	cohortOpts := func() Options {
 		o := streamOpts()
@@ -78,7 +77,6 @@ func TestStreamingCohortParity(t *testing.T) {
 		return o
 	}
 	base := cohortOpts()
-	base.BufferedAgg = true
 	base.Workers = 1
 	want := runDigest(t, base)
 
@@ -87,7 +85,7 @@ func TestStreamingCohortParity(t *testing.T) {
 		o.Workers = 8
 		o.Aggregators = fanout
 		if got := runDigest(t, o); got != want {
-			t.Fatalf("aggregators=%d: cohort streaming model diverges from buffered baseline", fanout)
+			t.Fatalf("aggregators=%d: cohort model diverges from the workers=1 flat fold", fanout)
 		}
 	}
 }

@@ -48,9 +48,6 @@ type FleetOptions struct {
 	// lone demand exceeds it are rejected; jobs that merely do not fit now
 	// are queued and promoted as running jobs finish.
 	MaxHydrated int
-	// HungarianMax bounds the exact assignment solver (default 256 active
-	// clients); larger rounds fall back to the greedy allocator.
-	HungarianMax int
 
 	// Workers sizes the ONE scheduler pool all jobs share (0 = NumCPU,
 	// 1 = serial). Any value produces bit-identical results.
@@ -115,9 +112,8 @@ func NewFleet(o FleetOptions) (*Fleet, error) {
 	pool := sched.New(o.Workers)
 
 	mgr, err := fleet.New(fleet.Config{
-		MaxHydrated:  o.MaxHydrated,
-		HungarianMax: o.HungarianMax,
-		Seed:         o.Seed,
+		MaxHydrated: o.MaxHydrated,
+		Seed:        o.Seed,
 	}, topo, cost, o.Faults, pool)
 	if err != nil {
 		pool.Close()

@@ -3,51 +3,14 @@ package core
 import (
 	"fedmigr/internal/agg"
 	"fedmigr/internal/nn"
-	"fedmigr/internal/sched"
 	"fedmigr/internal/tensor"
 )
 
-// weightedParamSum computes Σᵢ ws[i]·ParamVector(ms[i]) with a fixed
-// binary-tree reduction — the buffered baseline the streaming path is
-// parity-tested against. The tree's shape depends only on len(ms), never
-// on the worker count or on job completion order, so the float64 result
-// is identical for serial and parallel runs — the determinism contract
-// aggregation and evaluation rely on (DESIGN.md §5).
-//
-// Leaves (scaled parameter vectors) are materialized in parallel: each job
-// writes only its own terms[i]. Each tree level then adds pairs at fixed
-// positions — terms[i] += terms[i+span] — which are disjoint, so levels
-// parallelize too. The scratch leaves are recycled through the arena.
-// Peak live memory is O(len(ms) · params): every leaf exists at once,
-// which is exactly what the streaming accumulator avoids.
-func weightedParamSum(pool *sched.Pool, ms []*nn.Sequential, ws []float64) *tensor.Tensor {
-	terms := make([]*tensor.Tensor, len(ms))
-	pool.ForEach("param_sum_leaves", len(ms), func(i int) {
-		v := tensor.GetScratch(ms[i].NumParams())
-		ms[i].ParamVectorInto(v)
-		v.ScaleInPlace(ws[i])
-		terms[i] = v
-	})
-	for span := 1; span < len(terms); span *= 2 {
-		var pairs []int
-		for i := 0; i+span < len(terms); i += 2 * span {
-			pairs = append(pairs, i)
-		}
-		pool.ForEach("param_sum_level", len(pairs), func(j int) {
-			i := pairs[j]
-			terms[i].AddInPlace(terms[i+span])
-			tensor.PutScratch(terms[i+span])
-			terms[i+span] = nil
-		})
-	}
-	if len(terms) == 0 {
-		return nil
-	}
-	return terms[0]
-}
-
-// streamingParamSum computes the same weighted sum through the streaming
-// accumulator: each model folds at its slot index the moment its leaf is
+// streamingParamSum computes Σᵢ ws[i]·ParamVector(ms[i]) through the
+// streaming accumulator with a fixed binary-tree reduction whose shape
+// depends only on len(ms), never on the worker count or on completion
+// order — the determinism contract aggregation and evaluation rely on
+// (DESIGN.md §5). Each model folds at its slot index the moment its leaf is
 // materialized, so live scratch is bounded by the reduction frontier
 // (O(log n) for the in-order fold here) instead of every leaf at once.
 // groupSlots, when non-nil, partitions the slot indices onto simulated

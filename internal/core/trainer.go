@@ -846,8 +846,8 @@ func (t *Trainer) distribute() {
 
 // aggregate uploads every replica from its current host toward the server
 // and forms the weighted average (Global Aggregation, Eq. 7). The sum
-// itself goes through the streaming accumulator (or the buffered tree
-// when cfg.BufferedAgg asks for the baseline) — bit-identical either way.
+// itself goes through the streaming accumulator, bit-identical to the
+// buffered fixed-tree reduction its tests compare against.
 // With an aggregator fan-out configured, uploads travel host→gateway over
 // the topology's C2C links and each gateway forwards its drained partial
 // sums over the C2S WAN; the grouping changes traffic and wall-time
@@ -887,14 +887,8 @@ func (t *Trainer) aggregate() {
 		ws[i] = float64(t.clients[m].Data.Len()) / n
 	}
 	groupSlots := t.chargeUploads(idx)
-	var aggVec *tensor.Tensor
-	if t.cfg.BufferedAgg {
-		aggVec = weightedParamSum(t.pool, ms, ws)
-	} else {
-		var peak int
-		aggVec, peak = streamingParamSum(ms, ws, groupSlots)
-		t.mAggPeak.Set(float64(peak))
-	}
+	aggVec, peak := streamingParamSum(ms, ws, groupSlots)
+	t.mAggPeak.Set(float64(peak))
 	if aggVec != nil {
 		t.global.SetParamVector(aggVec)
 		tensor.PutScratch(aggVec)
@@ -1081,12 +1075,7 @@ func (t *Trainer) evaluate() float64 {
 			ws[m] = float64(t.clients[m].Data.Len()) / n
 		}
 	}
-	var vec *tensor.Tensor
-	if t.cfg.BufferedAgg {
-		vec = weightedParamSum(t.pool, ms, ws)
-	} else {
-		vec, _ = streamingParamSum(ms, ws, nil)
-	}
+	vec, _ := streamingParamSum(ms, ws, nil)
 	avg.SetParamVector(vec)
 	tensor.PutScratch(vec)
 	const evalBatch = 256

@@ -157,11 +157,6 @@ type Config struct {
 	// only the traffic/wall-time accounting changes. 0 or 1 keeps the flat
 	// client→server path.
 	Aggregators int
-	// BufferedAgg selects the legacy buffered reduction (materialize every
-	// participant leaf, then reduce) instead of the streaming accumulator.
-	// Both produce bit-identical results — the parity tests prove it — so
-	// this exists as the benchmark baseline and regression escape hatch.
-	BufferedAgg bool
 	// RoundOffset shifts the cohort sampler's round-derived RNG streams —
 	// set by checkpoint resume so a resumed run draws the same cohorts the
 	// uninterrupted run would have.

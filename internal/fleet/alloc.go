@@ -5,12 +5,6 @@ import (
 	"fedmigr/internal/qp"
 )
 
-// slot is one client-sized unit of a job's per-round demand.
-type slot struct {
-	job  *Job
-	take int // slot index within the job (jitter decorrelation)
-}
-
 // allocJitter derives the allocator's deterministic tie-break noise for a
 // (round, slot, client) triple — a splitmix64-style mix of the manager
 // seed, same recipe as core's modelEpochSeed, mapped into [0, 1). Scaled by
@@ -64,49 +58,38 @@ func (m *Manager) allocate(due []*Job, takes []int, active []bool) map[*Job][]in
 			clients = append(clients, c)
 		}
 	}
-	slots := make([]slot, 0)
+	// slots[si] is the job owning slot si: one client-sized unit of demand.
+	slots := make([]*Job, 0)
 	for i, j := range due {
 		for s := 0; s < takes[i]; s++ {
-			slots = append(slots, slot{job: j, take: s})
+			slots = append(slots, j)
 		}
 	}
 	if len(slots) == 0 || len(clients) == 0 {
 		return map[*Job][]int{}
 	}
 	utility := make([][]float64, len(slots))
-	for si, sl := range slots {
+	for si, j := range slots {
 		row := make([]float64, len(clients))
 		for ci, c := range clients {
-			if !sl.job.member(c) {
+			if !j.member(c) {
 				row[ci] = forbiddenUtility
 				continue
 			}
-			row[ci] = m.clientUtility(sl.job, c) + jitterScale*allocJitter(m.cfg.Seed, m.round, si, c)
+			row[ci] = m.clientUtility(j, c) + jitterScale*allocJitter(m.cfg.Seed, m.round, si, c)
 		}
 		utility[si] = row
 	}
-	var dest []int
-	if len(clients) <= m.cfg.HungarianMax {
-		d, _, err := qp.SolveRectAssignment(utility)
-		if err != nil {
-			// Unreachable for well-formed instances; fall back rather than
-			// kill the round.
-			dest = m.greedyAssign(utility)
-			m.mGreedy.Inc()
-		} else {
-			dest = d
-			m.mHungarian.Inc()
-		}
-	} else {
-		dest = m.greedyAssign(utility)
-		m.mGreedy.Inc()
+	// sum(takes) ≤ active count, so the instance is never tall; should the
+	// solver still refuse it, every due job starves this round and retries.
+	dest, _, err := qp.SolveAssignment(utility)
+	if err != nil {
+		return map[*Job][]int{}
 	}
+	m.mHungarian.Inc()
 	out := make(map[*Job][]int, len(due))
 	for si, ci := range dest {
-		if ci < 0 {
-			continue // more slots than active clients: slot unserved
-		}
-		j := slots[si].job
+		j := slots[si]
 		if !j.member(clients[ci]) {
 			continue // solver was cornered into a forbidden pair: slot unserved
 		}
@@ -116,35 +99,6 @@ func (m *Manager) allocate(due []*Job, takes []int, active []bool) map[*Job][]in
 		sortInts(got)
 	}
 	return out
-}
-
-// greedyAssign is the large-fleet fallback: each slot, in order, claims its
-// best unclaimed client — O(slots·clients) instead of the Hungarian cubic.
-// Ties resolve to the lowest client index (strict > comparison), keeping
-// the scan deterministic.
-func (m *Manager) greedyAssign(utility [][]float64) []int {
-	if len(utility) == 0 {
-		return nil
-	}
-	cols := len(utility[0])
-	taken := make([]bool, cols)
-	dest := make([]int, len(utility))
-	for si := range utility {
-		best, bestU := -1, 0.0
-		for ci := 0; ci < cols; ci++ {
-			if taken[ci] {
-				continue
-			}
-			if u := utility[si][ci]; best == -1 || u > bestU {
-				best, bestU = ci, u
-			}
-		}
-		dest[si] = best
-		if best >= 0 {
-			taken[best] = true
-		}
-	}
-	return dest
 }
 
 // sortInts is an insertion sort: allocation lists are demand-sized (tens),

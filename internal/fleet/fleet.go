@@ -3,10 +3,9 @@
 // migration policy and round budget — training concurrently over ONE shared
 // client fleet. Per round the manager assigns clients to jobs from resource
 // state (per-client compute rate and straggler scale, uplink bandwidth,
-// per-job demand) by solving a rectangular assignment problem with the
-// Hungarian solver in internal/qp (exact up to Config.HungarianMax active
-// clients, a greedy argmax fallback beyond), schedules due jobs fair-share
-// by weight credits, and admits new jobs against a hydrated-replica budget.
+// per-job demand) by solving the slots × clients assignment exactly with
+// the Hungarian solver in internal/qp, schedules due jobs fair-share by
+// weight credits, and admits new jobs against a hydrated-replica budget.
 //
 // Determinism: the manager holds no clock and no ambient RNG. A round's
 // allocation is a pure function of (Seed, round, fault plan, job set), the
@@ -131,19 +130,8 @@ type Config struct {
 	// does not fit *now* queues until running jobs finish. 0 disables
 	// admission control.
 	MaxHydrated int
-	// HungarianMax bounds the exact allocator: rounds with at most this
-	// many active clients solve the assignment optimally in O(n³); larger
-	// fleets use the greedy per-slot argmax, O(slots·clients). Default 256.
-	HungarianMax int
 	// Seed drives the allocator's deterministic tie-break jitter.
 	Seed int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.HungarianMax == 0 {
-		c.HungarianMax = 256
-	}
-	return c
 }
 
 // Manager orchestrates the job set over one shared client fleet.
@@ -163,7 +151,6 @@ type Manager struct {
 	mStarved   *telemetry.Counter
 	mRejected  *telemetry.Counter
 	mHungarian *telemetry.Counter
-	mGreedy    *telemetry.Counter
 	mRunning   *telemetry.Gauge
 	mQueued    *telemetry.Gauge
 	mDone      *telemetry.Gauge
@@ -176,7 +163,6 @@ type Manager struct {
 // cost model; pool is the shared worker pool every job's trainer should
 // also be configured with (nil runs serial).
 func New(cfg Config, topo *edgenet.Topology, cost *edgenet.CostModel, plan *faults.Plan, pool *sched.Pool) (*Manager, error) {
-	cfg = cfg.withDefaults()
 	if topo == nil || topo.K() == 0 {
 		return nil, fmt.Errorf("fleet: nil or empty topology")
 	}
@@ -207,7 +193,6 @@ func (m *Manager) SetTelemetry(tel *telemetry.Telemetry) {
 	m.mStarved = tel.Counter("fleet_starved_rounds_total")
 	m.mRejected = tel.Counter("fleet_admission_rejected_total")
 	m.mHungarian = tel.Counter("fleet_alloc_hungarian_total")
-	m.mGreedy = tel.Counter("fleet_alloc_greedy_total")
 	m.mRunning = tel.Gauge("fleet_jobs_running")
 	m.mQueued = tel.Gauge("fleet_jobs_queued")
 	m.mDone = tel.Gauge("fleet_jobs_done")

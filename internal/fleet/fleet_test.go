@@ -146,39 +146,75 @@ func TestFairShareWeights(t *testing.T) {
 // invariants directly: no client serves two jobs in one round, and each
 // job's client list is ascending (the aggregation slot order).
 func TestAllocateDisjointSorted(t *testing.T) {
-	for _, hungarianMax := range []int{256, 1} { // exact, then forced-greedy
-		m, topo, cost := newFleet(t, Config{Seed: 9, HungarianMax: hungarianMax}, 10, nil, nil)
-		trA, sA := buildJob(t, 10, 1, nil, topo, cost)
-		a, _ := m.Submit(JobConfig{Name: "a", Demand: 4, Rounds: 1, Samples: sA}, trA)
-		trB, sB := buildJob(t, 10, 2, nil, topo, cost)
-		b, _ := m.Submit(JobConfig{Name: "b", Demand: 5, Rounds: 1, Samples: sB}, trB)
-		active := make([]bool, 10)
-		for i := range active {
-			active[i] = true
+	m, topo, cost := newFleet(t, Config{Seed: 9}, 10, nil, nil)
+	trA, sA := buildJob(t, 10, 1, nil, topo, cost)
+	a, _ := m.Submit(JobConfig{Name: "a", Demand: 4, Rounds: 1, Samples: sA}, trA)
+	trB, sB := buildJob(t, 10, 2, nil, topo, cost)
+	b, _ := m.Submit(JobConfig{Name: "b", Demand: 5, Rounds: 1, Samples: sB}, trB)
+	active := make([]bool, 10)
+	for i := range active {
+		active[i] = true
+	}
+	got := m.allocate([]*Job{a, b}, []int{4, 5}, active)
+	seen := map[int]bool{}
+	total := 0
+	for _, j := range []*Job{a, b} {
+		list := got[j]
+		want := j.Cfg.Demand
+		if len(list) != want {
+			t.Fatalf("job %s got %d clients, want %d", j.Cfg.Name, len(list), want)
 		}
-		got := m.allocate([]*Job{a, b}, []int{4, 5}, active)
-		seen := map[int]bool{}
-		total := 0
-		for _, j := range []*Job{a, b} {
-			list := got[j]
-			want := j.Cfg.Demand
-			if len(list) != want {
-				t.Fatalf("hmax=%d: job %s got %d clients, want %d", hungarianMax, j.Cfg.Name, len(list), want)
+		for i, c := range list {
+			if seen[c] {
+				t.Fatalf("client %d allocated twice", c)
 			}
-			for i, c := range list {
-				if seen[c] {
-					t.Fatalf("hmax=%d: client %d allocated twice", hungarianMax, c)
-				}
-				seen[c] = true
-				if i > 0 && list[i-1] >= c {
-					t.Fatalf("hmax=%d: job %s clients not ascending: %v", hungarianMax, j.Cfg.Name, list)
-				}
-				total++
+			seen[c] = true
+			if i > 0 && list[i-1] >= c {
+				t.Fatalf("job %s clients not ascending: %v", j.Cfg.Name, list)
 			}
+			total++
 		}
-		if total != 9 {
-			t.Fatalf("hmax=%d: allocated %d clients, want 9", hungarianMax, total)
+	}
+	if total != 9 {
+		t.Fatalf("allocated %d clients, want 9", total)
+	}
+}
+
+// TestAllocateRestrictedJobNotStarved: an unrestricted job's favourite
+// client is the only member of a second, membership-restricted job. A
+// per-slot greedy scan lets the first job take that client and starves the
+// second; the exact assignment must serve both, at any fleet size.
+func TestAllocateRestrictedJobNotStarved(t *testing.T) {
+	const k = 300
+	m, topo, cost := newFleet(t, Config{Seed: 4}, k, nil, nil)
+	trA, sA := buildJob(t, k, 1, nil, topo, cost)
+	a, err := m.Submit(JobConfig{Name: "a", Demand: 1, Rounds: 1, Samples: sA}, trA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A's top pick for its only slot (slot 0 of round 0), jitter included.
+	pick, best := -1, 0.0
+	for c := 0; c < k; c++ {
+		u := m.clientUtility(a, c) + jitterScale*allocJitter(m.cfg.Seed, m.round, 0, c)
+		if pick == -1 || u > best {
+			pick, best = c, u
 		}
+	}
+	trB, sB := buildJob(t, k, 2, nil, topo, cost)
+	b, err := m.Submit(JobConfig{Name: "b", Demand: 1, Rounds: 1, Samples: sB, Members: []int{pick}}, trB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := make([]bool, k)
+	for i := range active {
+		active[i] = true
+	}
+	got := m.allocate([]*Job{a, b}, []int{1, 1}, active)
+	if len(got[a]) != 1 || len(got[b]) != 1 {
+		t.Fatalf("allocation %v: want one client for each of a and b", got)
+	}
+	if got[b][0] != pick || got[a][0] == pick {
+		t.Fatalf("a got %v, b got %v; b's only member is %d", got[a], got[b], pick)
 	}
 }
 

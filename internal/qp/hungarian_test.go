@@ -2,6 +2,7 @@ package qp
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -73,41 +74,12 @@ func TestHungarianOptimalVsBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		best := bruteForce(u)
+		best := bruteForceAssignment(u)
 		return math.Abs(val-best) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func bruteForce(u [][]float64) float64 {
-	n := len(u)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	best := math.Inf(-1)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			v := 0.0
-			for i, j := range perm {
-				v += u[i][j]
-			}
-			if v > best {
-				best = v
-			}
-			return
-		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-	}
-	rec(0)
-	return best
 }
 
 // The relaxed projected-gradient solver with argmax rounding should land
@@ -144,7 +116,212 @@ func TestHungarianErrors(t *testing.T) {
 	if _, _, err := SolveAssignment(nil); err == nil {
 		t.Fatal("empty instance must fail")
 	}
-	if _, _, err := SolveAssignment([][]float64{{1, 2}}); err == nil {
+	if _, _, err := SolveAssignment([][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged instance must fail")
+	}
+}
+
+func TestRectAssignmentKnownCases(t *testing.T) {
+	// Wide: 2 slots over 4 clients — both rows assigned, best columns win.
+	u := [][]float64{
+		{1, 9, 2, 3},
+		{8, 7, 1, 1},
+	}
+	dest, val, err := SolveAssignment(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dest[0] != 1 || dest[1] != 0 || math.Abs(val-17) > 1e-12 {
+		t.Fatalf("dest %v val %v, want [1 0] 17", dest, val)
+	}
+	// One row: the argmax column.
+	dest, val, err = SolveAssignment([][]float64{{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dest[0] != 1 || math.Abs(val-2) > 1e-12 {
+		t.Fatalf("dest %v val %v, want [1] 2", dest, val)
+	}
+}
+
+// Property: for random small instances with rows ≤ cols, the solver
+// matches a brute-force search over every injective row→column map, and
+// the returned dest is injective and in range.
+func TestRectAssignmentVsBruteForce(t *testing.T) {
+	f := func(seed int64) bool {
+		g := tensor.NewRNG(seed)
+		rows := 1 + g.Intn(4)
+		cols := rows + g.Intn(4)
+		u := make([][]float64, rows)
+		for i := range u {
+			u[i] = make([]float64, cols)
+			for j := range u[i] {
+				u[i][j] = g.NormFloat64() * 3
+			}
+		}
+		dest, val, err := SolveAssignment(u)
+		if err != nil || !injective(dest, cols) {
+			return false
+		}
+		return math.Abs(val-bruteForceAssignment(u)) < 1e-9 &&
+			math.Abs(val-AssignmentValue(u, dest)) < 1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func injective(dest []int, cols int) bool {
+	seen := make([]bool, cols)
+	for _, d := range dest {
+		if d < 0 || d >= cols || seen[d] {
+			return false
+		}
+		seen[d] = true
+	}
+	return true
+}
+
+// bruteForceAssignment maximizes total utility over every injective map
+// of the rows to distinct columns (rows ≤ cols).
+func bruteForceAssignment(u [][]float64) float64 {
+	rows, cols := len(u), len(u[0])
+	used := make([]bool, cols)
+	best := math.Inf(-1)
+	var rec func(row int, sum float64)
+	rec = func(row int, sum float64) {
+		if row == rows {
+			if sum > best {
+				best = sum
+			}
+			return
+		}
+		for j := 0; j < cols; j++ {
+			if used[j] {
+				continue
+			}
+			used[j] = true
+			rec(row+1, sum+u[row][j])
+			used[j] = false
+		}
+	}
+	rec(0, 0)
+	return best
+}
+
+// paddedAssignmentValue is the optimal-value oracle for instances too
+// large to brute-force: the rectangle is zero-padded to a square, whose
+// phantom rows absorb the unused columns without contributing value, and
+// solved as a square instance in O(cols³).
+func paddedAssignmentValue(u [][]float64) (float64, error) {
+	cols := len(u[0])
+	padded := make([][]float64, cols)
+	for i := range padded {
+		padded[i] = make([]float64, cols)
+		if i < len(u) {
+			copy(padded[i], u[i])
+		}
+	}
+	dest, _, err := SolveAssignment(padded)
+	if err != nil {
+		return 0, err
+	}
+	return AssignmentValue(u, dest[:len(u)]), nil
+}
+
+// The native rectangular solve matches the padded square oracle's optimum
+// on instances shaped like the fleet allocator's: uniform utilities,
+// integer utilities with many tied optima, and a quarter of the pairs
+// forbidden with the allocator's large finite penalty.
+func TestRectAssignmentMatchesPaddedOracle(t *testing.T) {
+	g := tensor.NewRNG(11)
+	for trial := 0; trial < 60; trial++ {
+		rows := 1 + g.Intn(24)
+		cols := rows + g.Intn(40)
+		u := make([][]float64, rows)
+		for i := range u {
+			u[i] = make([]float64, cols)
+			for j := range u[i] {
+				switch trial % 3 {
+				case 0:
+					u[i][j] = g.Float64()
+				case 1:
+					u[i][j] = float64(g.Intn(4))
+				case 2:
+					u[i][j] = g.Float64()
+					if g.Intn(4) == 0 {
+						u[i][j] = -1e18
+					}
+				}
+			}
+		}
+		dest, val, err := SolveAssignment(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !injective(dest, cols) {
+			t.Fatalf("trial %d: dest %v is not injective over %d columns", trial, dest, cols)
+		}
+		want, err := paddedAssignmentValue(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(val-want) > 1e-9*math.Max(1, math.Abs(want)) {
+			t.Fatalf("trial %d (%dx%d): value %v, padded oracle %v", trial, rows, cols, val, want)
+		}
+	}
+}
+
+func TestRectAssignmentErrors(t *testing.T) {
+	if _, _, err := SolveAssignment([][]float64{{}}); err == nil {
+		t.Fatal("zero-column instance must fail")
+	}
+	if _, _, err := SolveAssignment([][]float64{{1, 2}, {1}}); err == nil {
+		t.Fatal("ragged instance must fail")
+	}
+	// Tall: more rows than columns cannot give every row a column.
+	if _, _, err := SolveAssignment([][]float64{{5, 1}, {4, 4}, {1, 6}}); err == nil {
+		t.Fatal("tall instance must fail")
+	}
+}
+
+// BenchmarkAssignment times allocator-shaped instances: a handful of job
+// slots over a much larger client pool, with independent uniform rows,
+// plus the fleet's worst case, where every slot shares one utility row
+// (all jobs rank clients alike) separated only by the allocator's 1e-6
+// tie-break jitter. bench.sh records it into BENCH_jobs.json.
+func BenchmarkAssignment(b *testing.B) {
+	for _, size := range []struct {
+		slots, clients int
+		shared         bool
+	}{{16, 64, false}, {24, 256, false}, {48, 1000, false}, {192, 1000, true}} {
+		name := "slots=" + strconv.Itoa(size.slots) + "/clients=" + strconv.Itoa(size.clients)
+		if size.shared {
+			name = "shared/" + name
+		}
+		b.Run(name, func(b *testing.B) {
+			g := tensor.NewRNG(7)
+			base := make([]float64, size.clients)
+			for j := range base {
+				base[j] = g.Float64()
+			}
+			u := make([][]float64, size.slots)
+			for i := range u {
+				u[i] = make([]float64, size.clients)
+				for j := range u[i] {
+					if size.shared {
+						u[i][j] = base[j] + 1e-6*g.Float64()
+					} else {
+						u[i][j] = g.Float64()
+					}
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := SolveAssignment(u); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,11 @@
 // row-stochastic polytope (each client's model is forwarded to exactly one
 // destination in expectation), followed by rounding. The solver doubles as
 // the "S-COP" baseline timed in Fig. 6.
+//
+// SolveAssignment is the package's one exact assignment solver: a
+// Hungarian method over any rows ≤ cols instance, serving both the square
+// model→destination problem (core.OptimalAssignmentMigrator) and the
+// fleet allocator's job slots × clients rectangle.
 package qp
 
 import (

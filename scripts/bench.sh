@@ -4,8 +4,8 @@
 # counts and writes BENCH_sched.json: one record per (op, workers) with
 # ns/op, allocs/op and the speedup against that op's workers=1 baseline.
 # Then sweeps the aggregation path with fedmigr-sim and writes
-# BENCH_agg.json: one record per (clients, mode) — buffered baseline vs
-# streaming at fan-out 1/4/16 — with post-GC heap, Go runtime footprint
+# BENCH_agg.json: one record per (clients, mode) — streaming at fan-out
+# 1/4/16 — with post-GC heap, Go runtime footprint
 # (the peak-RSS proxy), peak hydrated replicas, and ns/round. The point
 # of the sweep is the flat heap column as clients grows 1000 → 100000.
 #
@@ -106,9 +106,8 @@ epochs=3
 rounds=$((epochs - 1))
 : > "$tmp"
 for k in 1000 10000 100000; do
-    for mode in buffered stream-fan1 stream-fan4 stream-fan16; do
+    for mode in stream-fan1 stream-fan4 stream-fan16; do
         case "$mode" in
-        buffered)     modeflags="-buffered-agg" ;;
         stream-fan1)  modeflags="-aggregators 1" ;;
         stream-fan4)  modeflags="-aggregators 4" ;;
         stream-fan16) modeflags="-aggregators 16" ;;
@@ -146,12 +145,12 @@ echo "bench.sh: wrote $agg_out ($(grep -c '"mode"' "$agg_out") records)"
 # The headline number is ratio_vs_sequential on the 3-job multi record:
 # concurrent tenancy must stay within 1.3x of sequential (jobs step
 # serially inside a round by design, so the overhead is allocator +
-# bookkeeping only). Also records the rectangular Hungarian allocator
-# microbenchmark from internal/qp.
+# bookkeeping only). Also records the Hungarian assignment solver
+# microbenchmark from internal/qp (the allocator's slots × clients solve).
 jobs_out="BENCH_jobs.json"
 qp_tmp=$(mktemp)
 trap 'rm -f "$tmp" "$simbin" "$qp_tmp"' EXIT
-go test -run '^$' -bench 'BenchmarkRectAssignment' -benchtime "$benchtime" ./internal/qp | tee "$qp_tmp"
+go test -run '^$' -bench 'BenchmarkAssignment' -benchtime "$benchtime" ./internal/qp | tee "$qp_tmp"
 
 jobspec() {
     n=$1 i=0 spec=""
@@ -199,7 +198,7 @@ END {
             jobs[i], mode[i], ns[i], ns[i] / 2, ratio
     }
     while ((getline line < qpfile) > 0) {
-        if (line !~ /^BenchmarkRectAssignment/) continue
+        if (line !~ /^BenchmarkAssignment/) continue
         split(line, f, /[ \t]+/)
         name = f[1]; sub(/-[0-9]+$/, "", name); sub(/^Benchmark/, "", name)
         m++

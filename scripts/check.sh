@@ -15,6 +15,9 @@ fi
 
 go vet ./...
 go build ./...
+# The round benchmark is its own Go module, so ./... above never builds
+# it: vet and test it explicitly so an API change cannot break it silently.
+(cd roundbench && go vet ./... && go test ./...)
 # Project-specific invariants (determinism zones, lock discipline, error
 # handling, telemetry naming, float comparisons, goroutine lifecycle,
 # kernel allocation discipline, wire exhaustiveness) — exits non-zero on
@@ -34,13 +37,12 @@ go test -race -timeout 30m ./...
 go test -race -run 'Parity|WorkerCountInvariance|ParallelRunMatchesSerial' ./internal/tensor ./internal/core .
 # Multi-tenant determinism under the race detector: three concurrent jobs
 # over a shared 1000-client fleet must produce bit-identical per-job
-# models at 1 and 8 workers, streaming or buffered aggregation.
+# models at 1 and 8 workers.
 go test -race -run 'TestFleetWorkerInvariance1k' .
 # Clustered-federation determinism under the race detector: the EMD
 # clustering must recover the latent LAN grouping exactly and beat the
 # single-global-model baseline, and both the clustered and one-shot
-# analytic paths must be bit-identical at 1 vs 8 workers, streaming or
-# buffered aggregation.
+# analytic paths must be bit-identical at 1 vs 8 workers.
 go test -race -run 'TestClusteredWorkerInvariance|TestClusteredRecovery' .
 go test -race -run 'TestAnalyticWorkerCountInvariance' ./internal/core
 # Dynamic-membership chaos under the race detector: 8 founding clients,

@@ -208,10 +208,16 @@ func main() {
 		return
 	}
 
+	sim, err := fedmigr.New(o)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	// Resume: verify the checkpoint was saved under the membership the flags
 	// describe (a drifted cohort would silently become a different
-	// experiment), then read the prior history so the remaining epoch budget
-	// is known before the simulation is assembled.
+	// experiment), then restore the global model, the prior history and the
+	// epoch/round counters, so the run continues with the uninterrupted
+	// run's numbering.
 	var prior []core.RoundMetrics
 	if *resume {
 		warn, err := checkpoint.CheckMembership(*ckptDir, mem, *allowDrift)
@@ -222,71 +228,41 @@ func main() {
 		if warn != "" {
 			fmt.Fprintln(os.Stderr, "resume:", warn)
 		}
-		f, err := os.Open(*ckptDir + "/" + checkpoint.RunStateMetrics)
-		if err != nil {
+		if prior, err = sim.RestoreState(*ckptDir); err != nil {
 			fmt.Fprintf(os.Stderr, "resume: %v\n", err)
 			os.Exit(1)
 		}
-		prior, err = checkpoint.ReadMetricsCSV(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "resume: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	epochOff, roundOff := 0, 0
-	if len(prior) > 0 {
-		last := prior[len(prior)-1]
-		epochOff, roundOff = last.Epoch, last.Round
-		if epochOff >= o.Epochs {
-			fmt.Printf("checkpoint already covers %d epochs (asked for %d); nothing to do\n", epochOff, o.Epochs)
+		done := prior[len(prior)-1].Epoch
+		if done >= o.Epochs {
+			fmt.Printf("checkpoint already covers %d epochs (asked for %d); nothing to do\n", done, o.Epochs)
 			return
 		}
-		o.Epochs -= epochOff
-		// Keep the cohort sampling stream aligned with the original run:
-		// round r after the resume draws the same cohort the uninterrupted
-		// run would have drawn at round roundOff+r.
-		o.RoundOffset = roundOff
-		fmt.Printf("resuming from %s at epoch %d (%d epochs remain)\n", *ckptDir, epochOff, o.Epochs)
+		fmt.Printf("resuming from %s at epoch %d (%d epochs remain)\n", *ckptDir, done, o.Epochs-done)
 	}
-	sim, err := fedmigr.New(o)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *resume {
-		if err := checkpoint.LoadModel(*ckptDir+"/"+checkpoint.RunStateModel, sim.Trainer.GlobalModel()); err != nil {
-			fmt.Fprintf(os.Stderr, "resume: %v\n", err)
-			os.Exit(1)
+	// Checkpoints hold the model the latest record scored, so a resume
+	// continues from the model the uninterrupted run aggregates there.
+	var scored *nn.Sequential
+	save := func(history []core.RoundMetrics) error {
+		if err := checkpoint.SaveRunState(*ckptDir, scored, history); err != nil {
+			return err
 		}
+		return checkpoint.SaveMembership(*ckptDir, mem)
 	}
 	if *ckptEvery > 0 {
-		var recorded []core.RoundMetrics
-		sim.Trainer.SetRoundHook(func(rm core.RoundMetrics, g *nn.Sequential) {
-			rm.Epoch += epochOff
-			rm.Round += roundOff
-			recorded = append(recorded, rm)
-			if len(recorded)%*ckptEvery != 0 {
+		sim.Trainer.SetRoundHook(func(_ core.RoundMetrics, g *nn.Sequential) {
+			scored = g
+			if len(sim.Trainer.History())%*ckptEvery != 0 {
 				return
 			}
-			if err := checkpoint.SaveRunState(*ckptDir, g, append(append([]core.RoundMetrics{}, prior...), recorded...)); err != nil {
-				fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-			} else if err := checkpoint.SaveMembership(*ckptDir, mem); err != nil {
+			if err := save(append(append([]core.RoundMetrics{}, prior...), sim.Trainer.History()...)); err != nil {
 				fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
 			}
 		})
 	}
 	res := sim.Run()
-	combined := append([]core.RoundMetrics{}, prior...)
-	for _, m := range res.History {
-		m.Epoch += epochOff
-		m.Round += roundOff
-		combined = append(combined, m)
-	}
+	combined := append(append([]core.RoundMetrics{}, prior...), res.History...)
 	if *ckptEvery > 0 {
-		if err := checkpoint.SaveRunState(*ckptDir, sim.Trainer.GlobalModel(), combined); err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-		} else if err := checkpoint.SaveMembership(*ckptDir, mem); err != nil {
+		if err := save(combined); err != nil {
 			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
 		} else {
 			fmt.Printf("checkpoint saved to %s\n", *ckptDir)

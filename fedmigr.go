@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 
+	"fedmigr/internal/checkpoint"
 	"fedmigr/internal/core"
 	"fedmigr/internal/data"
 	"fedmigr/internal/drl"
@@ -142,9 +143,6 @@ type Options struct {
 	// uploads stream client → gateway → cloud as partial sums. Purely a
 	// traffic/time accounting change — the global model is bit-identical.
 	Aggregators int
-	// RoundOffset aligns the cohort sampling stream after a checkpoint
-	// resume: set it to the number of aggregation rounds already consumed.
-	RoundOffset int
 
 	// Epochs, AggEvery, Tau, BatchSize, LR, Momentum, ProxMu mirror
 	// core.Config.
@@ -273,6 +271,28 @@ type Simulation struct {
 // Run executes the simulation.
 func (s *Simulation) Run() *Result { return s.Trainer.Run() }
 
+// RestoreState resumes a freshly assembled simulation from a run state a
+// round hook saved with checkpoint.SaveRunState: it loads the global model,
+// moves the trainer's epoch and round counters to the last saved record,
+// and returns the saved history. Run then keeps the uninterrupted run's
+// numbering, so LR schedule, shuffle streams, faults and cohorts line up.
+func (s *Simulation) RestoreState(dir string) ([]core.RoundMetrics, error) {
+	prior, err := checkpoint.LoadRunState(dir, s.Trainer.GlobalModel())
+	if err != nil {
+		return nil, err
+	}
+	if len(prior) == 0 {
+		return nil, fmt.Errorf("fedmigr: %s holds no evaluation record to resume from", dir)
+	}
+	// The saved model is the one the last record scored: at a round
+	// boundary, the aggregate of the epoch/(τ·AggEvery)-th round.
+	epoch := prior[len(prior)-1].Epoch
+	if err := s.Trainer.Restore(epoch, epoch/(max(s.Options.Tau, 1)*s.Options.AggEvery)); err != nil {
+		return nil, err
+	}
+	return prior, nil
+}
+
 // New assembles a Simulation from options without running it.
 func New(o Options) (*Simulation, error) {
 	o = o.withDefaults()
@@ -383,7 +403,6 @@ func coreConfig(o Options, mech *privacy.Mechanism) core.Config {
 		CohortSize:      o.CohortSize,
 		MinCohort:       o.MinCohort,
 		Aggregators:     o.Aggregators,
-		RoundOffset:     o.RoundOffset,
 		Seed:            o.Seed,
 	}
 }

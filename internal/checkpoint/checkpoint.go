@@ -5,6 +5,11 @@
 // the EMPG agent once, save it, and deploy it frozen across runs — the
 // paper's offline-training workflow.
 //
+// A single-job run state holds the model its last metrics row scored and
+// resumes through core.Trainer.Restore, like multi-job and clustered ones.
+// FedSwap and migration-scheme resumes are not bit-identical: the swap and
+// jitter RNGs and the DRL agent are not part of any run state.
+//
 // Run-state schema versions: v1 is a bare model.bin + metrics.csv; v2
 // adds the runstate.json fleet manifest for multi-job runs; v3 adds
 // membership.json, the cohort-shape manifest checked on resume. In-flight

@@ -8,9 +8,10 @@ import (
 
 // cohortSampler draws the per-round participant cohort in cohort mode
 // (Config.CohortSize > 0). Each round uses a private RNG stream derived
-// from (Seed, RoundOffset + round), so the draw is deterministic across
-// worker counts, independent of every other random stream in the run, and
-// reproducible after a checkpoint resume.
+// from (Seed, round), so the draw is deterministic across worker counts,
+// independent of every other random stream in the run, and reproducible
+// after a checkpoint resume: Trainer.Restore puts the round counter back
+// where the uninterrupted run had it.
 type cohortSampler struct {
 	k, size, min int
 	seed         int64

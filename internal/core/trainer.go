@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"fedmigr/internal/agg"
@@ -195,8 +194,11 @@ func (t *Trainer) SetTelemetry(tel *telemetry.Telemetry) {
 }
 
 // SetRoundHook installs fn, invoked after every recorded evaluation with
-// the fresh metrics record and the current global model — the
-// checkpointing hook periodic persistence builds on.
+// the fresh metrics record and the model that record scored — the
+// checkpointing hook periodic persistence builds on. At a round boundary
+// (every replica resident, full participation, no privacy noise) that
+// model is bit-identical to the global model the boundary's aggregation
+// forms.
 func (t *Trainer) SetRoundHook(fn func(RoundMetrics, *nn.Sequential)) { t.roundHook = fn }
 
 // applyFaults replays the fault plan for the current epoch: clients whose
@@ -238,8 +240,9 @@ func (t *Trainer) applyFaults() {
 
 // recordRound appends one evaluation record to the history and emits the
 // matching telemetry gauges and JSONL "round" event — the single place
-// the two schemas are kept in agreement.
-func (t *Trainer) recordRound(loss, acc float64) {
+// the two schemas are kept in agreement — then hands the record and the
+// model it scored to the round hook.
+func (t *Trainer) recordRound(loss, acc float64, scored *nn.Sequential) {
 	snap := t.acct.Snapshot()
 	t.history = append(t.history, RoundMetrics{
 		Epoch: t.epoch, Round: t.round, TrainLoss: loss, TestAcc: acc,
@@ -255,7 +258,7 @@ func (t *Trainer) recordRound(loss, acc float64) {
 			"compute_seconds", snap.ComputeSecs)
 	}
 	if t.roundHook != nil {
-		t.roundHook(t.history[len(t.history)-1], t.global)
+		t.roundHook(t.history[len(t.history)-1], scored)
 	}
 }
 
@@ -767,7 +770,7 @@ func (t *Trainer) chooseParticipants() {
 		return
 	}
 	if t.sampler != nil {
-		cohort := t.sampler.sample(t.round+t.cfg.RoundOffset, t.active)
+		cohort := t.sampler.sample(t.round, t.active)
 		for i := range t.participants {
 			t.participants[i] = false
 		}
@@ -1040,16 +1043,14 @@ func (t *Trainer) swapAtServer() {
 	t.acct.AddWallTime(maxT)
 }
 
-// evaluate computes test accuracy of the sample-weighted average of all
-// replicas (instrumentation only — no traffic is charged). In cohort mode
-// the un-hydrated replicas hold exactly the global parameters (they were
-// never trained this round), so the K-replica average collapses to the
-// cohort's replicas plus one global term carrying the residual weight —
-// O(cohort) work instead of O(K).
-func (t *Trainer) evaluate() float64 {
-	if t.test == nil || t.test.Len() == 0 {
-		return 0
-	}
+// evaluate scores the sample-weighted average of all replicas on the test
+// set (instrumentation only — no traffic is charged) and returns the
+// accuracy together with the averaged model it scored; with no test set the
+// accuracy is 0. In cohort mode the un-hydrated replicas hold exactly the
+// global parameters (they were never trained this round), so the K-replica
+// average collapses to the cohort's replicas plus one global term carrying
+// the residual weight — O(cohort) work instead of O(K).
+func (t *Trainer) evaluate() (float64, *nn.Sequential) {
 	avg := t.factory()
 	n := t.totalWeight()
 	var ms []*nn.Sequential
@@ -1078,6 +1079,14 @@ func (t *Trainer) evaluate() float64 {
 	vec, _ := streamingParamSum(ms, ws, nil)
 	avg.SetParamVector(vec)
 	tensor.PutScratch(vec)
+	return t.accuracy(avg), avg
+}
+
+// accuracy scores model on the test set (0 without one).
+func (t *Trainer) accuracy(model *nn.Sequential) float64 {
+	if t.test == nil || t.test.Len() == 0 {
+		return 0
+	}
 	const evalBatch = 256
 	correct, total := 0.0, 0
 	for lo := 0; lo < t.test.Len(); lo += evalBatch {
@@ -1086,7 +1095,7 @@ func (t *Trainer) evaluate() float64 {
 			hi = t.test.Len()
 		}
 		x, y := t.test.Batch(lo, hi)
-		out := avg.Forward(x, false)
+		out := model.Forward(x, false)
 		correct += nn.Accuracy(out, y) * float64(hi-lo)
 		total += hi - lo
 	}
@@ -1102,135 +1111,4 @@ func engagedMask(t *Trainer) []bool {
 		out[i] = t.engaged(i)
 	}
 	return out
-}
-
-// budgetExceeded reports whether any configured budget is exhausted.
-func (t *Trainer) budgetExceeded() bool {
-	snap := t.acct.Snapshot()
-	if t.cfg.ComputeBudget > 0 && snap.ComputeSecs >= t.cfg.ComputeBudget {
-		return true
-	}
-	if t.cfg.BandwidthBudget > 0 && snap.TotalBytes >= t.cfg.BandwidthBudget {
-		return true
-	}
-	if t.cfg.TimeBudget > 0 && snap.WallSeconds >= t.cfg.TimeBudget {
-		return true
-	}
-	return false
-}
-
-// Run executes the training loop to completion and returns the result.
-func (t *Trainer) Run() *Result {
-	// The run's pool also backs the tensor kernels: large matmul/conv/pool
-	// calls split across the same workers (nested regions degrade to
-	// inline execution, so concurrency stays bounded by cfg.Workers).
-	prevPool := tensor.InstallPool(t.pool)
-	defer tensor.InstallPool(prevPool)
-	if t.ownPool {
-		defer t.pool.Close()
-	}
-	cfg := t.cfg
-	res := &Result{}
-	t.started = telemetry.Now()
-	t.lastLoss = math.Inf(1)
-	t.prevLoss = math.Inf(1)
-	lastAcc := 0.0
-
-	// Initial distribution of the (random) global model.
-	t.applyFaults()
-	sp := t.tel.Begin("distribution")
-	t.distribute()
-	sp.End("epoch", t.epoch)
-
-	eventsPerRound := cfg.AggEvery
-	stop := false
-	var stopSuccess bool
-	for !stop && t.epoch < cfg.MaxEpochs {
-		preSnap := t.acct.Snapshot()
-		// τ local epochs form one event's training phase.
-		var loss float64
-		for i := 0; i < cfg.Tau && t.epoch < cfg.MaxEpochs; i++ {
-			t.applyFaults()
-			loss = t.localEpoch()
-			t.prevLoss, t.lastLoss = t.lastLoss, loss
-			if math.IsInf(t.prevLoss, 1) {
-				t.prevLoss = loss
-			}
-			t.epoch++
-			if cfg.EvalEvery > 0 && t.epoch%cfg.EvalEvery == 0 {
-				lastAcc = t.evaluate()
-				t.recordRound(loss, lastAcc)
-				if cfg.TargetAccuracy > 0 && lastAcc >= cfg.TargetAccuracy {
-					stop, stopSuccess = true, true
-				}
-			}
-			if t.budgetExceeded() {
-				stop = true
-				res.BudgetExhausted = true
-			}
-			if stop {
-				break
-			}
-		}
-		post := t.acct.Snapshot()
-		epochCompute := post.ComputeSecs - preSnap.ComputeSecs
-		epochBytes := post.TotalBytes - preSnap.TotalBytes
-		st := t.snapshotState(epochCompute, epochBytes)
-
-		// Deliver the feedback for the previous action now that its τ
-		// training epochs have landed.
-		if t.pending != nil && t.migrator != nil {
-			t.migrator.Feedback(&t.pending.prev, t.pending.action, &st, stop, stopSuccess)
-			t.pending = nil
-		}
-		if stop || t.epoch >= cfg.MaxEpochs {
-			break
-		}
-
-		// Event boundary: migration/swap on all but the round's last
-		// event, aggregation + redistribution on the last.
-		eventIdx := (t.epoch / cfg.Tau) % eventsPerRound
-		if eventIdx == 0 {
-			sp := t.tel.Begin("aggregation")
-			t.aggregate()
-			sp.End("round", t.round, "epoch", t.epoch)
-			t.mRounds.Inc()
-			sp = t.tel.Begin("distribution")
-			t.distribute()
-			sp.End("epoch", t.epoch)
-		} else {
-			sp := t.tel.Begin("migration_event")
-			action := t.migrate(&st)
-			sp.End("epoch", t.epoch)
-			if action != nil && t.migrator != nil {
-				t.pending = &pendingFeedback{prev: st, action: action}
-			}
-		}
-		if t.budgetExceeded() {
-			res.BudgetExhausted = true
-			break
-		}
-	}
-
-	// Terminal feedback if an action is still pending.
-	if t.pending != nil && t.migrator != nil {
-		st := t.snapshotState(0, 0)
-		t.migrator.Feedback(&t.pending.prev, t.pending.action, &st, true, stopSuccess)
-		t.pending = nil
-	}
-
-	if len(t.history) == 0 || t.history[len(t.history)-1].Epoch != t.epoch {
-		lastAcc = t.evaluate()
-		t.recordRound(t.lastLoss, lastAcc)
-	}
-	res.History = t.history
-	res.FinalLoss = t.lastLoss
-	res.FinalAcc = lastAcc
-	res.Epochs = t.epoch
-	res.Rounds = t.round
-	res.Duration = telemetry.Since(t.started)
-	res.ReachedTarget = stopSuccess
-	res.Snapshot = t.acct.Snapshot()
-	t.tel.EmitSnapshot()
-	return res
 }

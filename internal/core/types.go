@@ -157,10 +157,6 @@ type Config struct {
 	// only the traffic/wall-time accounting changes. 0 or 1 keeps the flat
 	// client→server path.
 	Aggregators int
-	// RoundOffset shifts the cohort sampler's round-derived RNG streams —
-	// set by checkpoint resume so a resumed run draws the same cohorts the
-	// uninterrupted run would have.
-	RoundOffset int
 
 	// LazyHydration forces cohort-style replica hydration without a cohort
 	// sampler: replicas exist only for the clients SetParticipants names

@@ -75,10 +75,17 @@ func TestReportPrint(t *testing.T) {
 	}
 }
 
+// quickReports caches each quick-scale report, so the per-experiment
+// checks, the goldens and the shape assertions run every experiment once.
+var quickReports = map[string]*Report{}
+
 // runQuick executes an experiment at minimal scale and sanity-checks the
 // report structure.
 func runQuick(t *testing.T, id string) *Report {
 	t.Helper()
+	if rep, ok := quickReports[id]; ok {
+		return rep
+	}
 	e, ok := Get(id)
 	if !ok {
 		t.Fatalf("missing %s", id)
@@ -98,6 +105,7 @@ func runQuick(t *testing.T, id string) *Report {
 			t.Fatalf("%s row width %d != header %d", id, len(row), len(rep.Header))
 		}
 	}
+	quickReports[id] = rep
 	return rep
 }
 

@@ -50,6 +50,10 @@ go test -race -run 'TestAnalyticWorkerCountInvariance' ./internal/core
 # in-flight TrainState is adopted by a survivor, and one crash — the
 # session must lose zero rounds, and the test checks goroutine leaks.
 go test -race -run 'TestChurnChaosSession' ./internal/fednet
+# Single-job checkpoint-resume smoke: fedmigr-sim has no Go tests, so this
+# end-to-end run is its gate — a resumed run must print the uninterrupted
+# run's epoch/round/loss/accuracy rows.
+scripts/resume-smoke.sh
 # 100k-client streaming smoke: one full cohort-sampled, hierarchically
 # aggregated run at 100 000 simulated clients. The test itself asserts the
 # post-GC heap ceiling (256 MB) and that peak hydrated replicas equal the

@@ -270,76 +270,39 @@ func (c *Clustered) Close() {
 	c.pool.Close()
 }
 
-// SaveState persists the clustered run to dir as a version-2 fleet state
-// (one model subdirectory per cluster job) plus the version-4 cluster
-// manifest recording the client→cluster assignment — written last, as the
-// clustered commit point.
+// SaveState writes the clustered run's run state to dir: the cluster jobs
+// as fleet jobs, the membership, and the clusters section recording the
+// client→cluster assignment.
 func (c *Clustered) SaveState(dir string) error {
-	jobs := make(map[string]checkpoint.FleetJobState, len(c.names))
-	for _, j := range c.Fleet.Jobs() {
-		jobs[j.Cfg.Name] = checkpoint.FleetJobState{
-			Model:   j.Trainer.GlobalModel(),
-			History: j.History,
-			Progress: checkpoint.JobProgress{
-				Epoch: j.Trainer.Epoch(), Round: j.RoundsDone,
-			},
-		}
-	}
-	if err := checkpoint.SaveFleetState(dir, c.Fleet.Round(), jobs); err != nil {
-		return err
-	}
-	return checkpoint.SaveClusterManifest(dir, checkpoint.ClusterManifest{
-		Clusters:       c.Manager.K(),
-		ReclusterEvery: c.Options.ReclusterEvery,
-		Seed:           c.Options.Seed + 17,
-		Round:          c.Fleet.Round(),
-		Assign:         c.Manager.Assignments(),
-		Medoids:        c.Manager.Medoids(),
-		Moves:          c.Manager.Moves(),
-		HandoffBytes:   c.Manager.HandoffBytes(),
-	})
+	return saveRun(dir, c.Fleet.Round(), fleetJobs(c.Fleet), c.Options.Clients, c.Options.Faults,
+		&checkpoint.Clusters{
+			K:            c.Manager.K(),
+			Assign:       c.Manager.Assignments(),
+			Medoids:      c.Manager.Medoids(),
+			Moves:        c.Manager.Moves(),
+			HandoffBytes: c.Manager.HandoffBytes(),
+		})
 }
 
 // RestoreState resumes a freshly assembled clustered run from a SaveState
-// checkpoint: per-cluster models, histories and round counters, the fleet
-// scheduling state, and the saved client→cluster assignment (cluster jobs
-// are rebound to the checkpointed membership, which may differ from the
-// fresh k-medoids grouping if the saved run had reclustered). A checkpoint
-// without a cluster manifest is refused — restoring cluster models without
-// their assignment would silently regroup clients from scratch.
+// checkpoint: per-cluster models, histories, round counters and ledgers,
+// the fleet scheduling state, and the saved client→cluster assignment
+// (cluster jobs are rebound to the checkpointed membership, which may
+// differ from the fresh k-medoids grouping if the saved run had
+// reclustered). A checkpoint without a clusters section is refused —
+// restoring cluster models without their assignment would silently
+// regroup clients from scratch. Membership drift is reported as for
+// Fleet.RestoreState.
 func (c *Clustered) RestoreState(dir string) error {
-	man, err := checkpoint.LoadClusterManifest(dir)
-	if err != nil {
-		return err
-	}
-	if man == nil {
-		return fmt.Errorf("fedmigr: %s is not a clustered checkpoint (no %s)", dir, checkpoint.ClusterFile)
-	}
-	if man.Clusters != c.Manager.K() {
-		return fmt.Errorf("fedmigr: checkpoint has %d clusters, run has %d", man.Clusters, c.Manager.K())
-	}
-	models := make(map[string]*nn.Sequential, len(c.names))
-	for _, j := range c.Fleet.Jobs() {
-		models[j.Cfg.Name] = j.Trainer.GlobalModel()
-	}
-	fman, histories, err := checkpoint.LoadFleetState(dir, models)
-	if err != nil {
-		return err
-	}
-	roundsDone := make(map[string]int, len(fman.Jobs))
-	for name, p := range fman.Jobs {
-		j := c.Fleet.Job(name)
-		if j == nil {
-			return fmt.Errorf("fedmigr: checkpoint job %q not in clustered run", name)
-		}
-		if err := j.Trainer.Restore(p.Epoch, p.Round); err != nil {
-			return fmt.Errorf("fedmigr: job %q: %w", name, err)
-		}
-		j.History = append(j.History[:0], histories[name]...)
-		roundsDone[name] = p.Round
-	}
-	if err := c.Fleet.Restore(fman.Round, roundsDone); err != nil {
-		return err
-	}
-	return c.Manager.Restore(man.Assign, man.Medoids, man.Moves, man.HandoffBytes)
+	return restoreRun(dir, fleetJobs(c.Fleet), c.Options.Clients, c.Options.Faults,
+		func(st *checkpoint.RunState) error {
+			cl := st.Clusters
+			if cl == nil {
+				return fmt.Errorf("fedmigr: %s is not a clustered checkpoint (no clusters section)", dir)
+			}
+			if err := restoreFleet(c.Fleet, st); err != nil {
+				return err
+			}
+			return c.Manager.Restore(cl.Assign, cl.Medoids, cl.Moves, cl.HandoffBytes)
+		})
 }

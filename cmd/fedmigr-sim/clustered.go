@@ -15,14 +15,14 @@ import (
 // first round whose routed accuracy reaches it and reports the round count
 // — the number scripts/bench.sh sweeps. The trailing summary lines are
 // machine-parseable (key=value).
-func runClustered(o fedmigr.ClusteredOptions, maxRounds, ckptEvery int, ckptDir string, resume, quiet bool) error {
+func runClustered(o fedmigr.ClusteredOptions, maxRounds, ckptEvery int, ckptDir string, resume, allowDrift, quiet bool) error {
 	c, err := fedmigr.NewClustered(o)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
 	if resume {
-		if err := c.RestoreState(ckptDir); err != nil {
+		if err := acceptDrift(c.RestoreState(ckptDir), allowDrift); err != nil {
 			return fmt.Errorf("resume: %w", err)
 		}
 		fmt.Printf("resuming clustered run from %s at round %d\n", ckptDir, c.Fleet.Round())

@@ -2,12 +2,10 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
 	fedmigr "fedmigr"
-	"fedmigr/internal/checkpoint"
 	"fedmigr/internal/fleet"
 )
 
@@ -90,10 +88,10 @@ func parseJobs(spec string, base fedmigr.Options) ([]fedmigr.JobSpec, error) {
 }
 
 // runFleet drives the multi-job path of fedmigr-sim: assemble the fleet,
-// optionally resume from a version-2 checkpoint (refusing membership
-// drift unless overridden), run rounds (checkpointing every ckptEvery
-// fleet rounds), and print per-job trajectories.
-func runFleet(o fedmigr.FleetOptions, maxRounds, ckptEvery int, ckptDir string, resume, quiet bool, mem checkpoint.Membership, allowDrift bool) error {
+// optionally resume from a checkpoint (refusing membership drift unless
+// allowDrift), run rounds (checkpointing every ckptEvery fleet rounds),
+// and print per-job trajectories.
+func runFleet(o fedmigr.FleetOptions, maxRounds, ckptEvery int, ckptDir string, resume, allowDrift, quiet bool) error {
 	f, err := fedmigr.NewFleet(o)
 	if err != nil {
 		return err
@@ -106,14 +104,7 @@ func runFleet(o fedmigr.FleetOptions, maxRounds, ckptEvery int, ckptDir string, 
 		}
 	}
 	if resume {
-		warn, err := checkpoint.CheckMembership(ckptDir, mem, allowDrift)
-		if err != nil {
-			return fmt.Errorf("resume: %w", err)
-		}
-		if warn != "" {
-			fmt.Fprintln(os.Stderr, "resume:", warn)
-		}
-		if err := f.RestoreState(ckptDir); err != nil {
+		if err := acceptDrift(f.RestoreState(ckptDir), allowDrift); err != nil {
 			return fmt.Errorf("resume: %w", err)
 		}
 		fmt.Printf("resuming fleet from %s at round %d\n", ckptDir, f.Manager.Round())
@@ -134,8 +125,6 @@ func runFleet(o fedmigr.FleetOptions, maxRounds, ckptEvery int, ckptDir string, 
 	}
 	if ckptEvery > 0 {
 		if err := f.SaveState(ckptDir); err != nil {
-			fmt.Printf("checkpoint: %v\n", err)
-		} else if err := checkpoint.SaveMembership(ckptDir, mem); err != nil {
 			fmt.Printf("checkpoint: %v\n", err)
 		} else {
 			fmt.Printf("fleet checkpoint saved to %s\n", ckptDir)

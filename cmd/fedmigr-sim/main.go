@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -76,7 +77,7 @@ func main() {
 		ckptEvery  = flag.Int("checkpoint-every", 0, "save a resumable checkpoint every N evaluations (0 = off; with -jobs, every N fleet rounds)")
 		ckptDir    = flag.String("checkpoint-dir", "checkpoints/sim", "directory for -checkpoint-every / -resume state")
 		resume     = flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir")
-		allowDrift = flag.Bool("allow-membership-drift", false, "resume even when the checkpoint's membership manifest disagrees with the membership the flags describe (warns instead of refusing)")
+		allowDrift = flag.Bool("allow-membership-drift", false, "resume even when the checkpoint's membership section disagrees with the membership the flags describe (warns instead of refusing)")
 
 		clusters       = flag.Int("clusters", 0, "clustered federation: group clients by label-distribution EMD into this many cluster models training concurrently (0 = single global model)")
 		reclusterEvery = flag.Int("recluster-every", 0, "with -clusters: re-evaluate the client→cluster assignment every N fleet rounds, migrating drifted clients between cluster models (0 = initial grouping is final)")
@@ -123,9 +124,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// The membership the flags describe: checked against the checkpoint's
-	// manifest on -resume, saved alongside every checkpoint.
-	mem := checkpoint.NewMembership(*clients, plan)
 	o := fedmigr.Options{
 		Scheme:          sk,
 		Dataset:         fedmigr.Dataset(*dataset),
@@ -174,7 +172,7 @@ func main() {
 		if err := runClustered(fedmigr.ClusteredOptions{
 			Clusters: *clusters, ReclusterEvery: *reclusterEvery,
 			Rounds: *clusterRounds, MaxHydrated: *maxHydrated, Options: o,
-		}, *maxRounds, *ckptEvery, *ckptDir, *resume, *quiet); err != nil {
+		}, *maxRounds, *ckptEvery, *ckptDir, *resume, *allowDrift, *quiet); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -198,7 +196,7 @@ func main() {
 			Workers: *workers, Faults: plan, Telemetry: tel, Seed: *seed,
 			Jobs: jobs,
 		}
-		if err := runFleet(fo, *maxRounds, *ckptEvery, *ckptDir, *resume, *quiet, mem, *allowDrift); err != nil {
+		if err := runFleet(fo, *maxRounds, *ckptEvery, *ckptDir, *resume, *allowDrift, *quiet); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -213,26 +211,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// Resume: verify the checkpoint was saved under the membership the flags
-	// describe (a drifted cohort would silently become a different
-	// experiment), then restore the global model, the prior history and the
-	// epoch/round counters, so the run continues with the uninterrupted
-	// run's numbering.
-	var prior []core.RoundMetrics
+	// Resume: restore the global model, the prior history, the epoch/round
+	// counters and the cost ledger, so the run continues with the
+	// uninterrupted run's numbering and traffic totals.
 	if *resume {
-		warn, err := checkpoint.CheckMembership(*ckptDir, mem, *allowDrift)
-		if err != nil {
+		if err := acceptDrift(sim.RestoreState(*ckptDir), *allowDrift); err != nil {
 			fmt.Fprintf(os.Stderr, "resume: %v\n", err)
 			os.Exit(1)
 		}
-		if warn != "" {
-			fmt.Fprintln(os.Stderr, "resume:", warn)
-		}
-		if prior, err = sim.RestoreState(*ckptDir); err != nil {
-			fmt.Fprintf(os.Stderr, "resume: %v\n", err)
-			os.Exit(1)
-		}
-		done := prior[len(prior)-1].Epoch
+		done := sim.Trainer.Epoch()
 		if done >= o.Epochs {
 			fmt.Printf("checkpoint already covers %d epochs (asked for %d); nothing to do\n", done, o.Epochs)
 			return
@@ -242,27 +229,21 @@ func main() {
 	// Checkpoints hold the model the latest record scored, so a resume
 	// continues from the model the uninterrupted run aggregates there.
 	var scored *nn.Sequential
-	save := func(history []core.RoundMetrics) error {
-		if err := checkpoint.SaveRunState(*ckptDir, scored, history); err != nil {
-			return err
-		}
-		return checkpoint.SaveMembership(*ckptDir, mem)
-	}
 	if *ckptEvery > 0 {
 		sim.Trainer.SetRoundHook(func(_ core.RoundMetrics, g *nn.Sequential) {
 			scored = g
 			if len(sim.Trainer.History())%*ckptEvery != 0 {
 				return
 			}
-			if err := save(append(append([]core.RoundMetrics{}, prior...), sim.Trainer.History()...)); err != nil {
+			if err := sim.SaveState(*ckptDir, g); err != nil {
 				fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
 			}
 		})
 	}
 	res := sim.Run()
-	combined := append(append([]core.RoundMetrics{}, prior...), res.History...)
+	combined := sim.History()
 	if *ckptEvery > 0 {
-		if err := save(combined); err != nil {
+		if err := sim.SaveState(*ckptDir, scored); err != nil {
 			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
 		} else {
 			fmt.Printf("checkpoint saved to %s\n", *ckptDir)
@@ -313,6 +294,18 @@ func main() {
 		fmt.Printf("memstats: heap_alloc_mb=%.1f sys_mb=%.1f max_hydrated=%d\n",
 			float64(ms.HeapAlloc)/1e6, float64(ms.Sys)/1e6, sim.Trainer.MaxHydrated())
 	}
+}
+
+// acceptDrift passes a RestoreState error through, except membership
+// drift under -allow-membership-drift, which it prints as a warning.
+func acceptDrift(err error, allow bool) error {
+	var drift *checkpoint.DriftError
+	if !allow || !errors.As(err, &drift) {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "resume: membership drift accepted (-allow-membership-drift):\n  %s\n",
+		strings.Join(drift.Diffs, "\n  "))
+	return nil
 }
 
 // buildFaultPlan assembles a faults.Plan from the -crash / -outage /

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 
-	"fedmigr/internal/checkpoint"
 	"fedmigr/internal/core"
 	"fedmigr/internal/data"
 	"fedmigr/internal/drl"
@@ -266,31 +265,39 @@ type Simulation struct {
 	Topology *edgenet.Topology
 	Cost     *edgenet.CostModel
 	Options  Options
+
+	prior []core.RoundMetrics // records restored by RestoreState
 }
 
 // Run executes the simulation.
 func (s *Simulation) Run() *Result { return s.Trainer.Run() }
 
-// RestoreState resumes a freshly assembled simulation from a run state a
-// round hook saved with checkpoint.SaveRunState: it loads the global model,
-// moves the trainer's epoch and round counters to the last saved record,
-// and returns the saved history. Run then keeps the uninterrupted run's
-// numbering, so LR schedule, shuffle streams, faults and cohorts line up.
-func (s *Simulation) RestoreState(dir string) ([]core.RoundMetrics, error) {
-	prior, err := checkpoint.LoadRunState(dir, s.Trainer.GlobalModel())
-	if err != nil {
-		return nil, err
-	}
-	if len(prior) == 0 {
-		return nil, fmt.Errorf("fedmigr: %s holds no evaluation record to resume from", dir)
-	}
-	// The saved model is the one the last record scored: at a round
-	// boundary, the aggregate of the epoch/(τ·AggEvery)-th round.
-	epoch := prior[len(prior)-1].Epoch
-	if err := s.Trainer.Restore(epoch, epoch/(max(s.Options.Tau, 1)*s.Options.AggEvery)); err != nil {
-		return nil, err
-	}
-	return prior, nil
+// History returns the run's metrics history: a restored run's saved
+// records followed by the trainer's own.
+func (s *Simulation) History() []core.RoundMetrics {
+	return append(append([]core.RoundMetrics(nil), s.prior...), s.Trainer.History()...)
+}
+
+// SaveState writes the simulation's run state to dir as a one-job run:
+// scored, the model the latest record scored (the round hook's argument),
+// with the trainer's progress and ledger, the full History, and the
+// membership of Options.Clients and Options.Faults.
+func (s *Simulation) SaveState(dir string, scored *nn.Sequential) error {
+	history := s.History()
+	return saveRun(dir, 0, map[string]runJob{"": {s.Trainer, scored, &history}},
+		s.Options.Clients, s.Options.Faults, nil)
+}
+
+// RestoreState resumes a freshly assembled simulation from a SaveState
+// checkpoint: it loads the global model, moves the trainer's epoch and
+// round counters and cost ledger to the saved point, and keeps the saved
+// records as the head of History. Run then continues with the
+// uninterrupted run's numbering and traffic totals, so LR schedule,
+// shuffle streams, faults, cohorts and budgets line up. Membership drift
+// is reported as for Fleet.RestoreState.
+func (s *Simulation) RestoreState(dir string) error {
+	return restoreRun(dir, map[string]runJob{"": {s.Trainer, s.Trainer.GlobalModel(), &s.prior}},
+		s.Options.Clients, s.Options.Faults, nil)
 }
 
 // New assembles a Simulation from options without running it.

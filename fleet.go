@@ -8,7 +8,6 @@ import (
 	"fedmigr/internal/edgenet"
 	"fedmigr/internal/faults"
 	"fedmigr/internal/fleet"
-	"fedmigr/internal/nn"
 	"fedmigr/internal/sched"
 	"fedmigr/internal/telemetry"
 )
@@ -224,55 +223,22 @@ func (f *Fleet) Close() {
 	f.pool.Close()
 }
 
-// SaveState persists the fleet to dir as a version-2 multi-job run state:
-// one subdirectory per non-rejected job (model parameters + metrics CSV)
-// and a manifest recording the fleet round and each job's progress,
-// written last as the commit point.
+// SaveState writes the fleet's run state to dir: every non-rejected job's
+// model, counters, ledger and history, the fleet round, and the membership
+// of Options.Clients and Options.Faults.
 func (f *Fleet) SaveState(dir string) error {
-	jobs := make(map[string]checkpoint.FleetJobState, len(f.Manager.Jobs()))
-	for _, j := range f.Manager.Jobs() {
-		if j.State == fleet.Rejected {
-			continue
-		}
-		jobs[j.Cfg.Name] = checkpoint.FleetJobState{
-			Model:   j.Trainer.GlobalModel(),
-			History: j.History,
-			Progress: checkpoint.JobProgress{
-				Epoch: j.Trainer.Epoch(), Round: j.RoundsDone,
-			},
-		}
-	}
-	return checkpoint.SaveFleetState(dir, f.Manager.Round(), jobs)
+	return saveRun(dir, f.Manager.Round(), fleetJobs(f.Manager), f.Options.Clients, f.Options.Faults, nil)
 }
 
 // RestoreState resumes a fleet from a SaveState checkpoint: every
-// non-rejected job's global model parameters, history, and epoch/round
-// counters are restored, and the manager's scheduling state is fast-
-// forwarded to the saved fleet round. The fleet must be freshly assembled
-// (no rounds run) with the same job set the checkpoint holds.
+// non-rejected job's global model parameters, history, epoch/round
+// counters and cost ledger are restored, and the manager's scheduling
+// state is fast-forwarded to the saved fleet round. The fleet must be
+// freshly assembled (no rounds run) with the same job set the checkpoint
+// holds. A *checkpoint.DriftError means the checkpoint was saved under a
+// different membership; the fleet is restored, and only a caller that
+// accepts the drift may run it.
 func (f *Fleet) RestoreState(dir string) error {
-	models := make(map[string]*nn.Sequential)
-	for _, j := range f.Manager.Jobs() {
-		if j.State == fleet.Rejected {
-			continue
-		}
-		models[j.Cfg.Name] = j.Trainer.GlobalModel()
-	}
-	man, histories, err := checkpoint.LoadFleetState(dir, models)
-	if err != nil {
-		return err
-	}
-	roundsDone := make(map[string]int, len(man.Jobs))
-	for name, p := range man.Jobs {
-		j := f.Manager.Job(name)
-		if j == nil {
-			return fmt.Errorf("fedmigr: checkpoint job %q not in fleet", name)
-		}
-		if err := j.Trainer.Restore(p.Epoch, p.Round); err != nil {
-			return fmt.Errorf("fedmigr: job %q: %w", name, err)
-		}
-		j.History = append(j.History[:0], histories[name]...)
-		roundsDone[name] = p.Round
-	}
-	return f.Manager.Restore(man.Round, roundsDone)
+	return restoreRun(dir, fleetJobs(f.Manager), f.Options.Clients, f.Options.Faults,
+		func(st *checkpoint.RunState) error { return restoreFleet(f.Manager, st) })
 }

@@ -1,36 +1,21 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"fedmigr/internal/faults"
 )
 
-// Membership manifest, version 3 of the run-state schema: alongside the
-// model and metrics, a checkpoint records the cohort shape it was saved
-// under — founding fleet size plus the plan's join/leave schedule. On
-// -resume the runtime compares the saved shape against the one the current
-// flags describe and refuses to silently continue a run whose membership
-// drifted: resuming a 10-client schedule as an 8-client one shifts every
-// seeded stream and allocator decision, so the "resumed" run would be a
-// different experiment wearing the old run's history. Version-1/2
-// checkpoints have no manifest; loaders warn and continue for those.
-const (
-	// MembershipFile is the membership manifest inside a run-state
-	// directory; its presence marks a version-3 checkpoint.
-	MembershipFile = "membership.json"
-	// MembershipVersion is the current membership-manifest schema version.
-	MembershipVersion = 3
-)
-
-// Membership is the persisted cohort shape of a run.
+// Membership is the cohort shape a run state was saved under — founding
+// fleet size plus the plan's join/leave schedule — which a resume compares
+// against the resuming run's. Resuming a 10-client schedule as an
+// 8-client one shifts every seeded stream and allocator decision, so the
+// "resumed" run would be a different experiment wearing the old run's
+// history; the mismatch is a *DriftError the caller must accept
+// explicitly.
 type Membership struct {
-	Version int `json:"version"`
 	// Clients is the founding cohort size (the -clients flag / core's K).
 	Clients int `json:"clients"`
 	// PlanSeed names the fault/churn schedule (0 when no plan was set —
@@ -46,10 +31,7 @@ type Membership struct {
 // size plus the plan's arrival and departure schedule (nil plan = static
 // membership).
 func NewMembership(clients int, plan *faults.Plan) Membership {
-	m := Membership{
-		Version: MembershipVersion, Clients: clients,
-		Joins: plan.JoinSchedule(), Leaves: plan.LeaveSchedule(),
-	}
+	m := Membership{Clients: clients, Joins: plan.JoinSchedule(), Leaves: plan.LeaveSchedule()}
 	if plan != nil {
 		m.PlanSeed = plan.Seed
 	}
@@ -106,73 +88,28 @@ func diffSchedule(kind string, saved, cur map[int]int) []string {
 	return out
 }
 
-// SaveMembership writes the membership manifest into a run-state
-// directory (atomic rename, like every checkpoint file).
-func SaveMembership(dir string, m Membership) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+// DriftError reports a run state saved under a different membership than
+// the resuming run's, one line per divergence.
+type DriftError struct {
+	Dir   string
+	Diffs []string
+}
+
+func (e *DriftError) Error() string {
+	return fmt.Sprintf(
+		"checkpoint: %s was saved under a different membership:\n  %s\nresume with matching flags, or pass -allow-membership-drift to continue anyway",
+		e.Dir, strings.Join(e.Diffs, "\n  "))
+}
+
+// CheckMembership compares the membership a run state in dir was saved
+// under with the resuming run's, returning a *DriftError listing every
+// divergence. A run state without a membership section passes.
+func CheckMembership(dir string, saved *Membership, cur Membership) error {
+	if saved == nil {
+		return nil
 	}
-	b, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("checkpoint: membership: %w", err)
-	}
-	path := filepath.Join(dir, MembershipFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("checkpoint: write membership: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("checkpoint: rename membership: %w", err)
+	if diffs := saved.Diff(cur); diffs != nil {
+		return &DriftError{Dir: dir, Diffs: diffs}
 	}
 	return nil
-}
-
-// LoadMembership reads a run state's membership manifest. A pre-version-3
-// checkpoint (no manifest file) returns (nil, nil): the caller should
-// warn that membership cannot be checked and continue — old checkpoints
-// stay resumable. Newer schema versions are refused.
-func LoadMembership(dir string) (*Membership, error) {
-	b, err := os.ReadFile(filepath.Join(dir, MembershipFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	var m Membership
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("checkpoint: membership %s: %w", dir, err)
-	}
-	if m.Version > MembershipVersion {
-		return nil, fmt.Errorf("checkpoint: membership %s has schema version %d, this build reads up to %d",
-			dir, m.Version, MembershipVersion)
-	}
-	return &m, nil
-}
-
-// CheckMembership compares a run state's saved membership against the
-// current run's shape. A membership mismatch is an error listing every
-// divergence unless allowDrift is set; pre-v3 checkpoints (no manifest)
-// return the warning string instead so callers can surface it and
-// continue.
-func CheckMembership(dir string, cur Membership, allowDrift bool) (warning string, err error) {
-	saved, err := LoadMembership(dir)
-	if err != nil {
-		return "", err
-	}
-	if saved == nil {
-		return fmt.Sprintf("checkpoint %s predates membership manifests (schema < %d): cannot verify the cohort shape matches the flags",
-			dir, MembershipVersion), nil
-	}
-	diffs := saved.Diff(cur)
-	if len(diffs) == 0 {
-		return "", nil
-	}
-	if allowDrift {
-		return fmt.Sprintf("membership drift accepted (-allow-membership-drift):\n  %s",
-			strings.Join(diffs, "\n  ")), nil
-	}
-	return "", fmt.Errorf(
-		"checkpoint: %s was saved under a different membership:\n  %s\nresume with matching flags, or pass -allow-membership-drift to continue anyway",
-		dir, strings.Join(diffs, "\n  "))
 }

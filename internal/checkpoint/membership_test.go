@@ -1,12 +1,13 @@
 package checkpoint
 
 import (
-	"os"
-	"path/filepath"
+	"errors"
 	"strings"
 	"testing"
 
 	"fedmigr/internal/faults"
+	"fedmigr/internal/nn"
+	"fedmigr/internal/tensor"
 )
 
 func churnMembership(seed int64) Membership {
@@ -16,14 +17,17 @@ func churnMembership(seed int64) Membership {
 func TestMembershipRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := churnMembership(7)
-	if err := SaveMembership(dir, m); err != nil {
+	st := singleJob(t, nn.NewMLP(tensor.NewRNG(1), 4, 8, 3))
+	st.Membership = &m
+	if err := Save(dir, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadMembership(dir)
+	loaded, err := Load(dir, map[string]*nn.Sequential{"": nn.NewMLP(tensor.NewRNG(2), 4, 8, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.Version != MembershipVersion || got.Clients != 8 || got.PlanSeed != 7 {
+	got := loaded.Membership
+	if got == nil || got.Clients != 8 || got.PlanSeed != 7 {
 		t.Fatalf("round trip %+v", got)
 	}
 	if len(got.Joins) != 2 || got.Joins[9] != 4 || got.Leaves[3] != 3 {
@@ -57,42 +61,23 @@ func TestMembershipDiff(t *testing.T) {
 }
 
 func TestCheckMembership(t *testing.T) {
-	dir := t.TempDir()
-	if err := SaveMembership(dir, churnMembership(7)); err != nil {
-		t.Fatal(err)
-	}
+	saved := churnMembership(7)
 	// Matching shape: silent pass.
-	warn, err := CheckMembership(dir, churnMembership(7), false)
-	if err != nil || warn != "" {
-		t.Fatalf("matching membership: warn=%q err=%v", warn, err)
+	if err := CheckMembership("ck", &saved, churnMembership(7)); err != nil {
+		t.Fatalf("matching membership: %v", err)
 	}
-	// Drifted shape: pointed error naming the divergence and the override.
+	// Drifted shape: a DriftError naming the divergence and the override.
 	drifted := NewMembership(8, faults.NewPlan(7).JoinAt(8, 2).LeaveAt(3, 3))
-	if _, err := CheckMembership(dir, drifted, false); err == nil {
-		t.Fatal("membership drift must refuse the resume")
-	} else if !strings.Contains(err.Error(), "client 9") ||
-		!strings.Contains(err.Error(), "-allow-membership-drift") {
+	err := CheckMembership("ck", &saved, drifted)
+	var drift *DriftError
+	if !errors.As(err, &drift) || len(drift.Diffs) != 1 {
+		t.Fatalf("membership drift: %v, want a one-line DriftError", err)
+	}
+	if !strings.Contains(err.Error(), "client 9") || !strings.Contains(err.Error(), "-allow-membership-drift") {
 		t.Fatalf("drift error not actionable: %v", err)
 	}
-	// The override converts the refusal into a warning.
-	warn, err = CheckMembership(dir, drifted, true)
-	if err != nil || !strings.Contains(warn, "drift accepted") {
-		t.Fatalf("override: warn=%q err=%v", warn, err)
-	}
-	// Pre-v3 checkpoint (no manifest): warn and continue.
-	warn, err = CheckMembership(t.TempDir(), churnMembership(7), false)
-	if err != nil || !strings.Contains(warn, "predates membership manifests") {
-		t.Fatalf("pre-v3: warn=%q err=%v", warn, err)
-	}
-	// A future schema version is refused, not guessed at.
-	future := filepath.Join(t.TempDir(), "future")
-	if err := os.MkdirAll(future, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(future, MembershipFile), []byte(`{"version":99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CheckMembership(future, churnMembership(7), false); err == nil {
-		t.Fatal("future schema version must be refused")
+	// A run state without a membership section has nothing to compare.
+	if err := CheckMembership("ck", nil, drifted); err != nil {
+		t.Fatalf("no membership section: %v", err)
 	}
 }

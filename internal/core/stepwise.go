@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fedmigr/internal/edgenet"
 	"fedmigr/internal/telemetry"
 	"fedmigr/internal/tensor"
 )
@@ -37,11 +38,39 @@ func (t *Trainer) Round() int { return t.round }
 // must treat it as read-only).
 func (t *Trainer) History() []RoundMetrics { return t.history }
 
-// Restore fast-forwards the trainer's epoch/round counters to a checkpoint
-// without replaying training. The caller is responsible for also restoring
-// the global model parameters; replica state is rebuilt by the next
-// round's distribution. Restore must run before any training step.
-func (t *Trainer) Restore(epoch, round int) error {
+// Checkpoint returns the progress a resumable checkpoint of the trainer
+// records, which Restore takes back: the epoch, the completed rounds and
+// the cost ledger. Run records, and a run stopped by MaxEpochs ends, at a
+// round boundary before that round's aggregation; there the round counts
+// as closed and the ledger includes the upload traffic its aggregation
+// charges, because the resumed run starts at the next distribution. That
+// upload's wall time is not included: it draws on the cost model's jitter
+// stream.
+func (t *Trainer) Checkpoint() (epoch, round int, ledger edgenet.Snapshot) {
+	ledger = t.acct.Snapshot()
+	per := t.cfg.Tau * t.cfg.AggEvery
+	if t.epoch == 0 || t.epoch%per != 0 || t.round >= t.epoch/per {
+		return t.epoch, t.round, ledger
+	}
+	if idx, n := t.uploadSlots(); n > 0 {
+		a := edgenet.NewAccountant()
+		a.Restore(ledger)
+		hops, ups, _ := t.planUploads(idx)
+		for _, x := range append(hops, ups...) {
+			a.RecordTransfer(x.from, x.to, x.kind, x.bytes)
+		}
+		ledger = a.Snapshot()
+	}
+	return t.epoch, t.round + 1, ledger
+}
+
+// Restore fast-forwards the trainer to a checkpoint's progress without
+// replaying training: the epoch and round counters, and the cost ledger,
+// so traffic totals and budgets continue where the checkpointed run left
+// them. The caller is responsible for also restoring the global model
+// parameters; replica state is rebuilt by the next round's distribution.
+// Restore must run before any training step.
+func (t *Trainer) Restore(epoch, round int, ledger edgenet.Snapshot) error {
 	if t.epoch != 0 || t.round != 0 {
 		return fmt.Errorf("core: Restore after training started (epoch %d, round %d)", t.epoch, t.round)
 	}
@@ -50,6 +79,7 @@ func (t *Trainer) Restore(epoch, round int) error {
 	}
 	t.epoch = epoch
 	t.round = round
+	t.acct.Restore(ledger)
 	return nil
 }
 

@@ -52,6 +52,49 @@ func TestRunMatchesRunRounds(t *testing.T) {
 	}
 }
 
+// TestCheckpointClosesPendingRound: Run records at a round boundary before
+// aggregating, and a run stopped by MaxEpochs never aggregates there.
+// Checkpoint at such a record counts the round as closed and charges its
+// uploads, so it equals the checkpoint of a RunRound trainer, which records
+// after aggregating, on progress and traffic — with flat and hierarchical
+// uploads.
+func TestCheckpointClosesPendingRound(t *testing.T) {
+	type progress struct {
+		epoch, round       int
+		total, global, c2s int64
+		local              int64
+		transfers          int
+	}
+	checkpoint := func(tr *Trainer) progress {
+		e, r, l := tr.Checkpoint()
+		return progress{e, r, l.TotalBytes, l.GlobalBytes, l.C2SBytes, l.LocalBytes, l.NumTransfers}
+	}
+	for _, fanout := range []int{0, 2} {
+		build := func() *Trainer {
+			clients, topo, test, factory := buildSetup(t, 6, 2, false, 53)
+			tr, err := NewTrainer(Config{
+				Scheme: FedMigr, AggEvery: 3, MaxEpochs: 6, EvalEvery: 3, Aggregators: fanout, Workers: 1, Seed: 53,
+			}, clients, topo, edgenet.DefaultCostModel(), test, factory, &GreedyEMDMigrator{CostWeight: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		run := build()
+		var got []progress
+		run.SetRoundHook(func(RoundMetrics, *nn.Sequential) { got = append(got, checkpoint(run)) })
+		run.Run()
+		stepper := build()
+		for i := 0; i < 2; i++ {
+			stepper.RunRound(nil)
+			if want := checkpoint(stepper); i >= len(got) || got[i] != want {
+				t.Fatalf("aggregators=%d round %d: Run checkpoint %+v, RunRound %+v", fanout, i+1, got, want)
+			}
+		}
+		stepper.Close()
+	}
+}
+
 // TestBoundaryCrashSkipsDownload: a client that crashes exactly on a round
 // boundary is down before that boundary's distribution, so it is not sent
 // the new global model. The only traffic the crash saves in this run is

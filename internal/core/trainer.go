@@ -856,15 +856,7 @@ func (t *Trainer) distribute() {
 // sums over the C2S WAN; the grouping changes traffic and wall-time
 // accounting only, never the resulting bits.
 func (t *Trainer) aggregate() {
-	// Normalize over the replicas whose home clients participate this
-	// round: with α < 1 (or a sampled cohort) only the selected clients'
-	// updates form the new global model (Sec. II-A).
-	n := 0.0
-	for m := range t.models {
-		if t.participants[m] {
-			n += float64(t.clients[m].Data.Len())
-		}
-	}
+	idx, n := t.uploadSlots()
 	if n == 0 {
 		t.round++
 		return
@@ -873,19 +865,12 @@ func (t *Trainer) aggregate() {
 	// mechanism consumes a shared RNG; the accountant is coordinator
 	// state); the weighted parameter sum itself is a deterministic tree
 	// reduction over the participant slots.
-	idx := make([]int, 0, len(t.models))
-	for m, model := range t.models {
-		if !t.participants[m] || model == nil {
-			continue
-		}
-		if t.active[t.loc[m]] && t.cfg.Privacy.Enabled() {
-			t.cfg.Privacy.Sanitize(model)
-		}
-		idx = append(idx, m)
-	}
 	ms := make([]*nn.Sequential, len(idx))
 	ws := make([]float64, len(idx))
 	for i, m := range idx {
+		if t.active[t.loc[m]] && t.cfg.Privacy.Enabled() {
+			t.cfg.Privacy.Sanitize(t.models[m])
+		}
 		ms[i] = t.models[m]
 		ws[i] = float64(t.clients[m].Data.Len()) / n
 	}
@@ -899,65 +884,93 @@ func (t *Trainer) aggregate() {
 	t.round++
 }
 
-// chargeUploads accounts the round's upload traffic and wall time and
-// returns the slot grouping for the hierarchical reduction (nil for the
-// flat path). Flat: every active host pays one C2S upload, wall time is
-// the slowest. Hierarchical (cfg.Aggregators > 1): members pay a C2C hop
-// to their LAN gateway, then each gateway ships its canonical partial-sum
-// nodes — agg.NodeCount of its slot set, typically ~log(cohort) payloads
-// instead of one per member — over the C2S WAN; wall time is the slowest
-// member hop plus the slowest gateway hop.
-func (t *Trainer) chargeUploads(idx []int) [][]int {
+// uploadSlots returns the replicas the round's aggregation averages — the
+// hydrated ones whose home clients participate, in model order — and the
+// normalizer n over the participants' samples: with α < 1 (or a sampled
+// cohort) only the selected clients' updates form the new global model
+// (Sec. II-A).
+func (t *Trainer) uploadSlots() (idx []int, n float64) {
+	for m, model := range t.models {
+		if !t.participants[m] {
+			continue
+		}
+		n += float64(t.clients[m].Data.Len())
+		if model != nil {
+			idx = append(idx, m)
+		}
+	}
+	return idx, n
+}
+
+// transfer is one accounted model movement.
+type transfer struct {
+	from, to int
+	kind     edgenet.LinkKind
+	bytes    int64
+}
+
+// planUploads lists the transfers the round's aggregation charges for the
+// replicas in idx, and the slot grouping for the hierarchical reduction
+// (nil for the flat path). Flat: every active host pays one C2S upload.
+// Hierarchical (cfg.Aggregators > 1): members pay a C2C hop to their LAN
+// gateway, then each gateway ships its canonical partial-sum nodes —
+// agg.NodeCount of its slot set, typically ~log(cohort) payloads instead
+// of one per member — over the C2S WAN.
+func (t *Trainer) planUploads(idx []int) (hops, ups []transfer, groupSlots [][]int) {
 	g := t.cfg.Aggregators
 	if g <= 1 || len(idx) == 0 {
-		maxT := 0.0
+		ups = make([]transfer, 0, len(idx))
 		for _, m := range idx {
-			host := t.loc[m]
-			if !t.active[host] {
-				continue
-			}
-			t.acct.RecordTransfer(host, host, edgenet.C2S, t.modelSize)
-			if tt := t.cost.TransferTime(host, host, edgenet.C2S, t.modelSize); tt > maxT {
-				maxT = tt
+			if host := t.loc[m]; t.active[host] {
+				ups = append(ups, transfer{host, host, edgenet.C2S, t.modelSize})
 			}
 		}
-		t.acct.AddWallTime(maxT)
-		return nil
+		return nil, ups, nil
 	}
-	if g > len(t.clients) {
-		g = len(t.clients)
-	}
-	groupSlots := make([][]int, g)
-	maxHop := 0.0
+	g = min(g, len(t.clients))
+	groupSlots = make([][]int, g)
+	hops = make([]transfer, 0, len(idx))
 	for i, m := range idx {
 		host := t.loc[m]
 		gid := t.topo.AggregatorGroup(host, g)
 		groupSlots[gid] = append(groupSlots[gid], i)
-		if !t.active[host] {
-			continue
-		}
-		gw := t.topo.GatewayClient(gid, g)
-		kind := t.topo.Kind(host, gw)
-		t.acct.RecordTransfer(host, gw, kind, t.modelSize)
-		if tt := t.cost.TransferTime(host, gw, kind, t.modelSize); tt > maxHop {
-			maxHop = tt
+		if t.active[host] {
+			gw := t.topo.GatewayClient(gid, g)
+			hops = append(hops, transfer{host, gw, t.topo.Kind(host, gw), t.modelSize})
 		}
 	}
-	maxUp := 0.0
 	for gid, slots := range groupSlots {
-		if len(slots) == 0 {
-			continue
-		}
-		nodes := agg.NodeCount(len(idx), slots)
-		t.mAggParts.Add(int64(nodes))
-		gw := t.topo.GatewayClient(gid, g)
-		bytes := int64(nodes) * t.modelSize
-		t.acct.RecordTransfer(gw, gw, edgenet.C2S, bytes)
-		if tt := t.cost.TransferTime(gw, gw, edgenet.C2S, bytes); tt > maxUp {
-			maxUp = tt
+		if len(slots) > 0 {
+			gw := t.topo.GatewayClient(gid, g)
+			nodes := int64(agg.NodeCount(len(idx), slots))
+			ups = append(ups, transfer{gw, gw, edgenet.C2S, nodes * t.modelSize})
 		}
 	}
-	t.acct.AddWallTime(maxHop + maxUp)
+	return hops, ups, groupSlots
+}
+
+// chargeUploads accounts the round's upload traffic and wall time — the
+// slowest member hop plus the slowest C2S upload — and returns the slot
+// grouping for the hierarchical reduction.
+func (t *Trainer) chargeUploads(idx []int) [][]int {
+	hops, ups, groupSlots := t.planUploads(idx)
+	wall := 0.0
+	for _, leg := range [][]transfer{hops, ups} {
+		slowest := 0.0
+		for _, x := range leg {
+			t.acct.RecordTransfer(x.from, x.to, x.kind, x.bytes)
+			if tt := t.cost.TransferTime(x.from, x.to, x.kind, x.bytes); tt > slowest {
+				slowest = tt
+			}
+		}
+		wall += slowest
+	}
+	if groupSlots != nil {
+		for _, x := range ups {
+			t.mAggParts.Add(x.bytes / t.modelSize)
+		}
+	}
+	t.acct.AddWallTime(wall)
 	return groupSlots
 }
 

@@ -172,6 +172,24 @@ func (a *Accountant) Snapshot() Snapshot {
 	}
 }
 
+// Restore seeds a fresh accountant with a checkpoint's totals, so a resumed
+// run keeps charging the same ledger: C2S, intra-LAN and cross-LAN
+// (GlobalBytes minus C2SBytes) traffic, wall and compute time and the
+// transfer count. Per-pair link use is not part of a Snapshot and restarts
+// from zero.
+func (a *Accountant) Restore(s Snapshot) {
+	for kind, bytes := range [3]int64{
+		IntraLAN: s.LocalBytes, CrossLAN: s.GlobalBytes - s.C2SBytes, C2S: s.C2SBytes,
+	} {
+		a.trafficByKind[LinkKind(kind)] = bytes
+		a.telBytes[kind].Add(bytes)
+	}
+	a.wallSeconds, a.computeSecs, a.transfers = s.WallSeconds, s.ComputeSecs, s.NumTransfers
+	a.telTransfers.Add(int64(s.NumTransfers))
+	a.telWall.Set(s.WallSeconds)
+	a.telCompute.Set(s.ComputeSecs)
+}
+
 // String summarizes the accountant.
 func (a *Accountant) String() string {
 	return fmt.Sprintf("traffic: total=%.2fMB global=%.2fMB local=%.2fMB, wall=%.1fs, compute=%.1fs, transfers=%d",

@@ -177,6 +177,29 @@ func TestAccountantTimes(t *testing.T) {
 	}
 }
 
+// TestAccountantRestore: an accountant seeded with another's snapshot
+// reports the same totals, and keeps agreeing with it as both record more.
+func TestAccountantRestore(t *testing.T) {
+	a := NewAccountant()
+	a.RecordTransfer(0, 1, IntraLAN, 100)
+	a.RecordTransfer(0, 5, CrossLAN, 200)
+	a.RecordTransfer(0, 0, C2S, 400)
+	a.AddWallTime(1.5)
+	a.AddComputeTime(3)
+	b := NewAccountant()
+	b.Restore(a.Snapshot())
+	for _, acct := range []*Accountant{a, b} {
+		acct.RecordTransfer(2, 3, CrossLAN, 50)
+		acct.AddWallTime(0.25)
+	}
+	if a.Snapshot() != b.Snapshot() {
+		t.Fatalf("restored accountant %+v, original %+v", b.Snapshot(), a.Snapshot())
+	}
+	if b.Traffic(CrossLAN) != 250 || b.Traffic(C2S) != 400 || b.Traffic(IntraLAN) != 100 {
+		t.Fatalf("restored per-kind traffic %d/%d/%d", b.Traffic(IntraLAN), b.Traffic(CrossLAN), b.Traffic(C2S))
+	}
+}
+
 func TestAccountantPanicsOnNegative(t *testing.T) {
 	a := NewAccountant()
 	for name, fn := range map[string]func(){

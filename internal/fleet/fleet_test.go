@@ -362,7 +362,7 @@ func TestRestore(t *testing.T) {
 	if err := m.Restore(2, map[string]int{"a": 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Restore(2, 2); err != nil {
+	if err := tr.Restore(2, 2, edgenet.Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Round() != 2 || j.RoundsDone != 2 {

@@ -2,7 +2,7 @@
 # check.sh — the repo's pre-commit gate: formatting, vet, build, the full
 # test suite under the race detector (including the chaos fault-injection
 # session and the parallel-vs-serial parity tests), a trainer benchmark
-# smoke, and a short fuzz smoke over the wire-frame decoder.
+# smoke, and short fuzz smokes over the wire-frame and run-state decoders.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -50,9 +50,10 @@ go test -race -run 'TestAnalyticWorkerCountInvariance' ./internal/core
 # in-flight TrainState is adopted by a survivor, and one crash — the
 # session must lose zero rounds, and the test checks goroutine leaks.
 go test -race -run 'TestChurnChaosSession' ./internal/fednet
-# Single-job checkpoint-resume smoke: fedmigr-sim has no Go tests, so this
-# end-to-end run is its gate — a resumed run must print the uninterrupted
-# run's epoch/round/loss/accuracy rows.
+# Checkpoint-resume smoke: fedmigr-sim has no Go tests, so these
+# end-to-end runs are its gate — a resumed crash, bandwidth-budget or
+# two-job run must print the uninterrupted run's rows, traffic and
+# stopping epoch.
 scripts/resume-smoke.sh
 # 100k-client streaming smoke: one full cohort-sampled, hierarchically
 # aggregated run at 100 000 simulated clients. The test itself asserts the
@@ -63,4 +64,5 @@ go test -run 'Test100kClientStreamingSmoke' .
 # worker count (compile + run sanity, not a measurement).
 go test -run '^$' -bench 'BenchmarkTrainer' -benchtime=1x .
 go test -run '^$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/fednet
+go test -run '^$' -fuzz FuzzLoadRunState -fuzztime 10s ./internal/checkpoint
 echo "check.sh: all checks passed"
